@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: check build vet test race chaos fuzz bench benchdiff cover fmt
+.PHONY: check build vet test race chaos fuzz bench benchdiff cover fmt benchmod
 
 # The full gate: what CI runs.
-check: vet build test race
+check: vet build test race benchmod
 
 build:
 	$(GO) build ./...
+
+# benchmod vets and smoke-tests the benchmark/ module. It is a separate
+# Go module, so ./... never compiles it, yet it imports internal/
+# packages whose APIs a change can break.
+benchmod:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # test runs vet and the formatting gate first and includes the race
 # detector: the chaos harness exercises concurrent fault paths that only
@@ -59,8 +65,8 @@ benchdiff:
 # checked-in corpus (which plain `go test` always replays).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/cluster/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeEnvelope -fuzztime=10s ./internal/cluster/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeResponse -fuzztime=10s ./internal/cluster/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequestFrame -fuzztime=10s ./internal/cluster/
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeResponseFrame -fuzztime=10s ./internal/cluster/
 	$(GO) test -run=^$$ -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzWireRoundTrip -fuzztime=10s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzZeroCopyDecode -fuzztime=10s ./internal/wire/

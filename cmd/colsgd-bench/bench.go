@@ -973,11 +973,11 @@ func runBenchJSON(path, rev string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "[bench] %-24s %12.0f ns/job  %10d stats bytes to target\n",
 			sc.name, float64(res.NsPerOp()), statsBytes)
 	}
-	gobBytes, err := codecFrameBytes(wire.Gob)
+	wireBytes, err := codecFrameBytes(wire.Default)
 	if err != nil {
 		return fmt.Errorf("bench codec: %w", err)
 	}
-	for _, name := range []string{"gob", "wire", "wire-f32", "wire-f16"} {
+	for _, name := range []string{"wire", "wire-f32", "wire-f16"} {
 		c, err := wire.ParseCodec(name)
 		if err != nil {
 			return err
@@ -986,8 +986,8 @@ func runBenchJSON(path, rev string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("bench codec %s: %w", name, err)
 		}
-		fmt.Fprintf(stdout, "[bench] codec/stats/%-11s frame %6d bytes (%5.1f%% of gob)\n",
-			name, n, 100*float64(n)/float64(gobBytes))
+		fmt.Fprintf(stdout, "[bench] codec/stats/%-11s frame %6d bytes (%5.1f%% of wire)\n",
+			name, n, 100*float64(n)/float64(wireBytes))
 		res, err := bestOf(func() (testing.BenchmarkResult, error) { return benchCodec(c) })
 		if err := add("codec/stats/"+name, "codec", name, 1, res, err); err != nil {
 			return err

@@ -39,12 +39,11 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 	fs := flag.NewFlagSet("colsgd-node", flag.ContinueOnError)
 	listen := fs.String("listen", ":7070", "TCP listen address")
 	drain := fs.Duration("drain", 10*time.Second, "grace period for in-flight RPCs on shutdown")
-	codec := fs.String("codec", "", "statistics codec cap: gob, wire, wire-f32, wire-f16 (default: compact lossless)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	srv, err := columnsgd.ServeWorkerCodec(*listen, *codec)
+	srv, err := columnsgd.ServeWorker(*listen)
 	if err != nil {
 		return err
 	}

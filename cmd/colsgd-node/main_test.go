@@ -83,6 +83,16 @@ func TestNodeServesThenDrainsOnSignal(t *testing.T) {
 	}
 }
 
+// TestNodeHasNoCodecFlag: a worker serves whatever value encoding each
+// master's hello names, so there is no codec for it to be told.
+func TestNodeHasNoCodecFlag(t *testing.T) {
+	var out syncBuffer
+	err := run([]string{"-listen", "127.0.0.1:0", "-codec", "wire"}, &out, make(chan os.Signal))
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -codec") {
+		t.Fatalf("run with -codec = %v, want an unknown-flag error", err)
+	}
+}
+
 func TestNodeBadListenAddress(t *testing.T) {
 	var out syncBuffer
 	if err := run([]string{"-listen", "256.0.0.1:-1"}, &out, make(chan os.Signal)); err == nil {

@@ -62,7 +62,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 		shardTimeout = fs.Duration("shard-timeout", 250*time.Millisecond, "per-shard call timeout (one retry)")
 		drain        = fs.Duration("drain", 10*time.Second, "grace period for in-flight requests on shutdown")
 		par          = fs.Int("parallelism", 0, "scoring goroutines shared by the shard scorers (0 = GOMAXPROCS; bit-identical at any value)")
-		codec        = fs.String("codec", "", "statistics codec modeled by fan-out byte accounting: gob, wire, wire-f32, wire-f16")
+		codec        = fs.String("codec", "", "statistics codec modeled by fan-out byte accounting: wire, wire-f32, wire-f16")
 		precision    = fs.String("precision", "", "scoring width: f64 (default) or f32 (float32 shard kernels; margins stay within f32 rounding of f64)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -54,7 +54,7 @@ func run(args []string, stdout io.Writer) error {
 		lbfgsMem   = fs.Int("lbfgs-memory", 0, "curvature-pair history m for -solver lbfgs (0 = default 8)")
 		evalEvery  = fs.Int("eval-every", 10, "full-loss evaluation interval (0 = batch loss)")
 		addrs      = fs.String("addrs", "", "comma-separated TCP worker addresses (empty = in-process)")
-		codec      = fs.String("codec", "", "statistics codec: gob, wire, wire-f32, wire-f16 (default: compact lossless)")
+		codec      = fs.String("codec", "", "statistics codec: wire, wire-f32, wire-f16 (default: compact lossless)")
 		precision  = fs.String("precision", "", "worker compute precision: f64 (default) or f32 (float32 kernels; aggregation and losses stay float64)")
 		modelOut   = fs.String("model-out", "", "write final weights (one value per line) to this file")
 		savePath   = fs.String("save", "", "write a binary model checkpoint (loadable by colsgd-serve and LoadModel)")

@@ -149,12 +149,10 @@ type Config struct {
 	// bit.
 	StalenessSeed int64
 
-	// Codec selects the statistics wire codec: "wire" (compact lossless,
-	// the default), "gob" (legacy encoding/gob), or the lossy "wire-f32" /
-	// "wire-f16" variants that quantize statistics values to trade
-	// accuracy for bytes. Lossless codecs are bit-identical to gob; over
-	// TCP the codec is negotiated per connection and old workers fall
-	// back to gob automatically.
+	// Codec selects the statistics value encoding on the wire: "wire"
+	// (lossless, the default) or the lossy "wire-f32" / "wire-f16"
+	// variants that quantize statistics values to trade accuracy for
+	// bytes. Over TCP the master names it in each connection's hello.
 	Codec string
 
 	// Precision selects the workers' numeric width: "" or "f64" (the

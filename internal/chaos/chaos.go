@@ -132,7 +132,7 @@ type Spec struct {
 	// concurrent per-worker calls.
 	Reorder float64
 	// Corrupt is P(frame bytes flipped). The injector mangles the real
-	// gob-encoded request and surfaces the codec's actual decode error.
+	// encoded request frame and surfaces the codec's actual decode error.
 	Corrupt float64
 	// Truncate is P(frame cut short), surfacing the codec's error.
 	Truncate float64

@@ -59,10 +59,9 @@ type Workload struct {
 	// (internal/par); 0 means GOMAXPROCS. Bit-identical for every value —
 	// the golden-determinism matrix asserts exactly that.
 	Parallelism int
-	// Codec selects the transport statistics codec ("gob", "wire",
-	// "wire-f32", "wire-f16"); empty means the default compact lossless
-	// codec. Lossless codecs are bit-identical to gob; lossy ones trade
-	// bytes for quantization error (asserted by the accuracy suite).
+	// Codec selects the transport statistics codec ("wire", "wire-f32",
+	// "wire-f16"); empty means the default lossless "wire". The lossy ones
+	// trade bytes for quantization error (asserted by the accuracy suite).
 	Codec string
 	// Pipeline enables the ColumnSGD driver's pipelined fan-out
 	// (prefetching iteration t+1's stats behind iteration t's update).

@@ -354,13 +354,13 @@ func (c *client) Call(method string, args, reply interface{}) error {
 	return c.inner.Call(method, args, reply)
 }
 
-// codec reports the codec the decorated transport negotiated, so
+// codec reports the codec of the decorated transport's session, so
 // injected corruption exercises the format actually on the wire.
 func (c *client) codec() wire.Codec {
 	if cc, ok := c.inner.(cluster.CodecCarrier); ok {
 		return cc.WireCodec()
 	}
-	return wire.Gob
+	return wire.Default
 }
 
 // mangleError runs the real codec over a mangled copy of the request

@@ -119,7 +119,7 @@ func (c *localClient) Call(method string, args, reply interface{}) error {
 	w.mu.Lock()
 	svc := w.svc
 	// Decode into fresh values: the worker sees its own copy.
-	reqMethod, reqArgs, derr := decodeRequestFrame(c.codec, reqBuf.b)
+	reqMethod, reqArgs, derr := decodeRequestFrame(reqBuf.b)
 	putFrameBuf(reqBuf) // decode copied everything out
 	if derr != nil {
 		w.mu.Unlock()
@@ -144,7 +144,7 @@ func (c *localClient) Call(method string, args, reply interface{}) error {
 		putFrameBuf(respBuf)
 		return fmt.Errorf("%w: worker %d (reply lost)", ErrWorkerDown, w.id)
 	}
-	backValue, backErr, stored, derr := decodeResponseFrameInto(c.codec, respBuf.b, reply)
+	backValue, backErr, stored, derr := decodeResponseFrameInto(respBuf.b, reply)
 	putFrameBuf(respBuf)
 	if derr != nil {
 		return derr

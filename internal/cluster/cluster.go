@@ -1,11 +1,12 @@
 // Package cluster is the distributed execution substrate ColumnSGD runs
 // on — the role Apache Spark plays in the paper. It provides a master/
-// worker request-response layer with two interchangeable transports:
+// worker request-response layer with two interchangeable transports that
+// carry the same compact frames (codec.go):
 //
-//   - an in-process transport (channel.go) that still serializes every
-//     payload with encoding/gob, so byte counts, encode costs, and worker
+//   - an in-process transport (channel.go) that still encodes and decodes
+//     every request and reply, so byte counts, encode costs, and worker
 //     isolation match a real deployment while remaining deterministic;
-//   - a TCP transport (tcp.go) with length-prefixed gob framing for real
+//   - a TCP transport (tcp.go) that length-prefixes those frames for real
 //     multi-process deployments (cmd/colsgd-node).
 //
 // The master drives workers through Client.Call (the paper's "master
@@ -23,16 +24,11 @@ import (
 	"sync"
 )
 
-// Envelope frames one request on the wire.
+// Envelope carries a request whose arguments have no compact wire form
+// inside the gob fallback payload of a request frame.
 type Envelope struct {
 	Method string
 	Args   interface{}
-}
-
-// Response frames one reply on the wire.
-type Response struct {
-	Value interface{}
-	Err   string
 }
 
 // Error taxonomy. Every transport failure maps onto one of these
@@ -43,22 +39,24 @@ type Response struct {
 //   - ErrWorkerDown: the worker is unreachable — crash, severed link,
 //     closed connection. Recoverable only by restarting the worker.
 //   - ErrBadFrame: the length-prefixed framing itself is violated
-//     (oversized or truncated frame). The connection cannot be resynced.
-//   - ErrDecode: a frame arrived but its gob payload does not decode —
+//     (oversized or truncated frame, or a peer that does not answer the
+//     session hello). The connection cannot be resynced.
+//   - ErrDecode: a frame arrived but its payload does not decode —
 //     corruption, truncation inside the payload, or a type mismatch.
 var (
 	// ErrWorkerDown is returned by calls to a failed worker.
 	ErrWorkerDown = errors.New("cluster: worker down")
 	// ErrBadFrame marks violations of the length-prefixed framing.
 	ErrBadFrame = errors.New("cluster: bad frame")
-	// ErrDecode marks payloads that fail to gob-decode.
+	// ErrDecode marks payloads that fail to decode.
 	ErrDecode = errors.New("cluster: decode failed")
 )
 
 // Client is the master's handle to one worker.
 type Client interface {
-	// Call invokes a named method. args is gob-encoded; the decoded
-	// result is stored into reply (a non-nil pointer, or nil to discard).
+	// Call invokes a named method. args is encoded into a request frame;
+	// the decoded result is stored into reply (a non-nil pointer, or nil
+	// to discard).
 	Call(method string, args, reply interface{}) error
 	// Bytes returns cumulative request+response payload bytes.
 	Bytes() int64
@@ -101,42 +99,11 @@ func (s *Service) Dispatch(method string, args interface{}) (interface{}, error)
 	return h(args)
 }
 
-// encode gob-encodes v into a fresh buffer.
-func encode(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("cluster: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// encBufs pools encode buffers for the transport hot path. The public
-// Encode seam keeps returning fresh byte slices (decorators like the
-// chaos injector hold onto and mutate them); the transports instead use
-// encodePooled and hand the buffer back once its bytes are consumed —
-// gob decoding copies everything out, so release-after-decode (or
-// release-after-write for TCP) is safe.
-var encBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
-// encodePooled gob-encodes v into a pooled buffer. The caller must pass
-// the buffer to releaseEncBuf exactly once when done with its bytes.
-func encodePooled(v interface{}) (*bytes.Buffer, error) {
-	buf := encBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		releaseEncBuf(buf)
-		return nil, fmt.Errorf("cluster: encode: %w", err)
-	}
-	return buf, nil
-}
-
-// releaseEncBuf returns a pooled encode buffer.
-func releaseEncBuf(buf *bytes.Buffer) { encBufs.Put(buf) }
-
-// decode gob-decodes data into v. Arbitrary (corrupted, truncated,
-// adversarial) bytes must surface as ErrDecode, never a panic: gob
-// recovers its own internal panics, but a defensive guard keeps any that
-// escape from killing a worker that was fed a mangled frame.
+// decode gob-decodes a fallback payload into v. Arbitrary (corrupted,
+// truncated, adversarial) bytes must surface as ErrDecode, never a
+// panic: gob recovers its own internal panics, but a defensive guard
+// keeps any that escape from killing a worker that was fed a mangled
+// frame.
 func decode(data []byte, v interface{}) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -147,20 +114,6 @@ func decode(data []byte, v interface{}) (err error) {
 		return fmt.Errorf("%w: %v", ErrDecode, derr)
 	}
 	return nil
-}
-
-// Encode serializes a value exactly as the transports do — the seam
-// decorators (fault injectors, recorders) use to manipulate wire bytes
-// without reimplementing the codec.
-func Encode(v interface{}) ([]byte, error) { return encode(v) }
-
-// Decode is the inverse seam: any error wraps ErrDecode.
-func Decode(data []byte, v interface{}) error { return decode(data, v) }
-
-// EncodeEnvelope frames a request the way a gob-codec Client.Call does
-// (wire-codec sessions use EncodeRequestFrame instead).
-func EncodeEnvelope(method string, args interface{}) ([]byte, error) {
-	return encode(&Envelope{Method: method, Args: args})
 }
 
 // storeReply copies a decoded value into the caller's reply pointer.

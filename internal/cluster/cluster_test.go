@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"columnsgd/internal/wire"
 )
 
 type echoArgs struct {
@@ -218,10 +220,11 @@ func TestStoreReplyErrors(t *testing.T) {
 }
 
 func TestEncodeRejectsUnregistered(t *testing.T) {
+	// A type with no wire form rides the gob fallback, which must refuse
+	// a concrete type gob was never told about.
 	type unregistered struct{ X int }
-	_, err := encode(&Envelope{Method: "m", Args: unregistered{1}})
-	if err == nil {
-		t.Fatal("unregistered concrete type in interface field accepted")
+	if _, err := EncodeRequestFrame(wire.Default, "m", unregistered{1}); err == nil {
+		t.Fatal("unregistered concrete type in the gob fallback accepted")
 	}
 }
 

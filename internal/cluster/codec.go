@@ -9,9 +9,8 @@ import (
 	"columnsgd/internal/wire"
 )
 
-// Codec version 1 frames. A frame is still one length-prefixed payload
-// (tcp.go) or one in-process buffer (channel.go); under the wire codec
-// its payload is:
+// Codec version 1 frames. A frame is one length-prefixed payload
+// (tcp.go) or one in-process buffer (channel.go):
 //
 //	request:  [0xC1][uvarint len(method)][method][payload]
 //	response: [0xC2][uvarint len(err)][err][payload]
@@ -35,7 +34,8 @@ const (
 const maxMethodLen = 1 << 10
 
 // encBuf is a pooled, append-backed encode buffer. It implements
-// io.Writer so the gob encoder can share it with the wire append path.
+// io.Writer so the gob fallback encoder can share it with the wire
+// append path.
 type encBuf struct{ b []byte }
 
 func (e *encBuf) Write(p []byte) (int, error) {
@@ -57,28 +57,23 @@ func putFrameBuf(e *encBuf) { frameBufs.Put(e) }
 // buffer. The caller must hand the buffer to putFrameBuf exactly once
 // after its bytes are consumed.
 func encodeRequestFrame(c wire.Codec, method string, args interface{}) (*encBuf, error) {
+	if len(method) > maxMethodLen {
+		return nil, fmt.Errorf("cluster: encode: method name of %d bytes exceeds limit", len(method))
+	}
 	e := getFrameBuf()
+	e.b = append(e.b, wireRequestMarker)
+	e.b = binary.AppendUvarint(e.b, uint64(len(method)))
+	e.b = append(e.b, method...)
 	var err error
-	if !c.Wire {
+	switch m := args.(type) {
+	case wire.Message:
+		e.b = append(e.b, m.WireID())
+		e.b = m.AppendWire(e.b, c.Enc)
+	case nil:
+		e.b = append(e.b, payloadNil)
+	default:
+		e.b = append(e.b, payloadGob)
 		err = gob.NewEncoder(e).Encode(&Envelope{Method: method, Args: args})
-	} else {
-		if len(method) > maxMethodLen {
-			putFrameBuf(e)
-			return nil, fmt.Errorf("cluster: encode: method name of %d bytes exceeds limit", len(method))
-		}
-		e.b = append(e.b, wireRequestMarker)
-		e.b = binary.AppendUvarint(e.b, uint64(len(method)))
-		e.b = append(e.b, method...)
-		switch m := args.(type) {
-		case wire.Message:
-			e.b = append(e.b, m.WireID())
-			e.b = m.AppendWire(e.b, c.Enc)
-		case nil:
-			e.b = append(e.b, payloadNil)
-		default:
-			e.b = append(e.b, payloadGob)
-			err = gob.NewEncoder(e).Encode(&Envelope{Method: method, Args: args})
-		}
 	}
 	if err != nil {
 		putFrameBuf(e)
@@ -88,16 +83,8 @@ func encodeRequestFrame(c wire.Codec, method string, args interface{}) (*encBuf,
 }
 
 // decodeRequestFrame is the server-side inverse of encodeRequestFrame.
-// Wire-decode failures surface as ErrDecode (never a panic), matching
-// the gob path's taxonomy.
-func decodeRequestFrame(c wire.Codec, data []byte) (string, interface{}, error) {
-	if !c.Wire {
-		var env Envelope
-		if err := decode(data, &env); err != nil {
-			return "", nil, err
-		}
-		return env.Method, env.Args, nil
-	}
+// Decode failures surface as ErrDecode, never a panic.
+func decodeRequestFrame(data []byte) (string, interface{}, error) {
 	if len(data) < 1 || data[0] != wireRequestMarker {
 		return "", nil, fmt.Errorf("%w: missing request marker", ErrDecode)
 	}
@@ -132,29 +119,25 @@ func init() { gob.Register(&gobValue{}) }
 // buffer.
 func encodeResponseFrame(c wire.Codec, value interface{}, errStr string) (*encBuf, error) {
 	e := getFrameBuf()
+	e.b = append(e.b, wireResponseMarker)
+	e.b = binary.AppendUvarint(e.b, uint64(len(errStr)))
+	e.b = append(e.b, errStr...)
+	if errStr != "" {
+		// Error responses carry no value; the handler result (if any) is
+		// meaningless alongside an error string.
+		e.b = append(e.b, payloadNil)
+		return e, nil
+	}
 	var err error
-	if !c.Wire {
-		err = gob.NewEncoder(e).Encode(&Response{Value: value, Err: errStr})
-	} else {
-		e.b = append(e.b, wireResponseMarker)
-		e.b = binary.AppendUvarint(e.b, uint64(len(errStr)))
-		e.b = append(e.b, errStr...)
-		if errStr != "" {
-			// Error responses carry no value; the handler result (if
-			// any) is meaningless alongside an error string.
-			e.b = append(e.b, payloadNil)
-		} else {
-			switch m := value.(type) {
-			case wire.Message:
-				e.b = append(e.b, m.WireID())
-				e.b = m.AppendWire(e.b, c.Enc)
-			case nil:
-				e.b = append(e.b, payloadNil)
-			default:
-				e.b = append(e.b, payloadGob)
-				err = gob.NewEncoder(e).Encode(&gobValue{V: value})
-			}
-		}
+	switch m := value.(type) {
+	case wire.Message:
+		e.b = append(e.b, m.WireID())
+		e.b = m.AppendWire(e.b, c.Enc)
+	case nil:
+		e.b = append(e.b, payloadNil)
+	default:
+		e.b = append(e.b, payloadGob)
+		err = gob.NewEncoder(e).Encode(&gobValue{V: value})
 	}
 	if err != nil {
 		putFrameBuf(e)
@@ -164,14 +147,7 @@ func encodeResponseFrame(c wire.Codec, value interface{}, errStr string) (*encBu
 }
 
 // decodeResponseFrame is the client-side inverse of encodeResponseFrame.
-func decodeResponseFrame(c wire.Codec, data []byte) (interface{}, string, error) {
-	if !c.Wire {
-		var resp Response
-		if err := decode(data, &resp); err != nil {
-			return nil, "", err
-		}
-		return resp.Value, resp.Err, nil
-	}
+func decodeResponseFrame(data []byte) (interface{}, string, error) {
 	if len(data) < 1 || data[0] != wireResponseMarker {
 		return nil, "", fmt.Errorf("%w: missing response marker", ErrDecode)
 	}
@@ -197,18 +173,17 @@ func decodeResponseFrame(c wire.Codec, data []byte) (interface{}, string, error)
 }
 
 // decodeResponseFrameInto is decodeResponseFrame with a zero-copy fast
-// path: under the wire codec, a successful response whose payload tag
-// matches the caller's reply WireID is decoded directly into reply,
-// reusing its slice capacity via the DecodeVecInto contract — a master
-// that keeps per-worker reply scratch pays no per-call statistics
-// allocation. stored reports that reply was populated in place (value
-// is nil then). On a decode error the reply may be partially mutated;
-// callers already treat a Call error as total failure and must not
-// read the reply after one. Everything else — gob sessions, fallback
-// payloads, error responses, mismatched IDs — takes the generic
-// allocate-and-assign path and stored is false.
-func decodeResponseFrameInto(c wire.Codec, data []byte, reply interface{}) (value interface{}, errStr string, stored bool, err error) {
-	if m, ok := reply.(wire.Message); ok && c.Wire && len(data) >= 1 && data[0] == wireResponseMarker {
+// path: a successful response whose payload tag matches the caller's
+// reply WireID is decoded directly into reply, reusing its slice
+// capacity via the DecodeVecInto contract — a master that keeps
+// per-worker reply scratch pays no per-call statistics allocation.
+// stored reports that reply was populated in place (value is nil then).
+// On a decode error the reply may be partially mutated; callers already
+// treat a Call error as total failure and must not read the reply after
+// one. Everything else — fallback payloads, error responses, mismatched
+// IDs — takes the generic allocate-and-assign path and stored is false.
+func decodeResponseFrameInto(data []byte, reply interface{}) (value interface{}, errStr string, stored bool, err error) {
+	if m, ok := reply.(wire.Message); ok && len(data) >= 1 && data[0] == wireResponseMarker {
 		elen, rest, uerr := wire.Uvarint(data[1:])
 		if uerr == nil && elen == 0 && len(rest) >= 1 && rest[0] == m.WireID() {
 			if derr := safeDecodeWire(m, rest[1:]); derr != nil {
@@ -219,7 +194,7 @@ func decodeResponseFrameInto(c wire.Codec, data []byte, reply interface{}) (valu
 		// Anything else — error responses, other tags, header trouble —
 		// re-parses below; response frames are small.
 	}
-	value, errStr, err = decodeResponseFrame(c, data)
+	value, errStr, err = decodeResponseFrame(data)
 	return value, errStr, false, err
 }
 
@@ -261,7 +236,7 @@ func safeDecodeWire(m wire.Message, data []byte) (err error) {
 	return nil
 }
 
-// CodecCarrier is implemented by clients that expose their negotiated
+// CodecCarrier is implemented by clients that expose their session
 // codec — the seam decorators (the chaos injector) use to manipulate
 // wire bytes with the same format the transport uses.
 type CodecCarrier interface {
@@ -281,8 +256,9 @@ func EncodeRequestFrame(c wire.Codec, method string, args interface{}) ([]byte, 
 }
 
 // DecodeRequestFrame is the inverse seam; any failure wraps ErrDecode.
+// Frames are self-describing, so c does not shape decoding.
 func DecodeRequestFrame(c wire.Codec, data []byte) (string, interface{}, error) {
-	return decodeRequestFrame(c, data)
+	return decodeRequestFrame(data)
 }
 
 // EncodeResponseFrame frames a response exactly as a transport with
@@ -298,6 +274,7 @@ func EncodeResponseFrame(c wire.Codec, value interface{}, errStr string) ([]byte
 }
 
 // DecodeResponseFrame is the inverse seam; any failure wraps ErrDecode.
+// Frames are self-describing, so c does not shape decoding.
 func DecodeResponseFrame(c wire.Codec, data []byte) (interface{}, string, error) {
-	return decodeResponseFrame(c, data)
+	return decodeResponseFrame(data)
 }

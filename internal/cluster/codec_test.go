@@ -1,17 +1,19 @@
 package cluster
 
-// Codec seam tests: hello negotiation over real TCP (including the
-// legacy-server fallback), wire-message round trips on both transports,
-// and the typed-error guarantee for mangled frames — the contract the
-// chaos injector's corrupt/truncate faults rely on.
+// Codec seam tests: the session hello over real TCP, wire-message round
+// trips on both transports, and the typed-error guarantee for mangled
+// frames — the contract the chaos injector's corrupt/truncate faults
+// rely on.
 
 import (
-	"encoding/gob"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"columnsgd/internal/wire"
 )
@@ -46,10 +48,7 @@ func (m *pingMsg) DecodeWire(data []byte) error {
 	return nil
 }
 
-func init() {
-	wire.Register(0x70, func() wire.Message { return new(pingMsg) })
-	gob.Register(&pingMsg{})
-}
+func init() { wire.Register(0x70, func() wire.Message { return new(pingMsg) }) }
 
 // pingService echoes the message back doubled, so the test can verify
 // the handler saw real decoded values.
@@ -81,102 +80,128 @@ func pingCall(t *testing.T, c Client) {
 	}
 }
 
-// TestTCPCodecNegotiationMatrix covers client preference × server limit:
-// the session codec must be the meet of the two, and calls must work on
-// every combination.
+func startPingServer(t *testing.T) *Server {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, _ := pingService(0)
+	srv := NewServer(svc, lis)
+	go srv.Serve() //nolint:errcheck // exits on Close
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// TestTCPCodecNegotiationMatrix: the session runs the value encoding the
+// client's hello requested, and calls work at every encoding.
 func TestTCPCodecNegotiationMatrix(t *testing.T) {
 	cases := []struct {
-		name        string
-		pref, limit wire.Codec
-		want        wire.Codec
+		name string
+		pref wire.Codec
 	}{
-		{"wire-wire", wire.Default, wire.Default, wire.Default},
-		{"wire-f16-server", wire.Codec{Wire: true, Enc: wire.F16}, wire.Default, wire.Codec{Wire: true, Enc: wire.F16}},
-		{"gob-client", wire.Gob, wire.Default, wire.Gob},
-		{"gob-server", wire.Default, wire.Gob, wire.Gob},
+		{"wire-wire", wire.Default},
+		{"wire-f32-server", wire.Codec{Enc: wire.F32}},
+		{"wire-f16-server", wire.Codec{Enc: wire.F16}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			svc, _ := pingService(0)
-			srv := NewServer(svc, lis)
-			srv.RestrictCodec(tc.limit)
-			go srv.Serve() //nolint:errcheck
-			defer srv.Close()
+			srv := startPingServer(t)
 			c, err := DialCodec(srv.Addr(), tc.pref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			got := c.(CodecCarrier).WireCodec()
-			if got != tc.want {
-				t.Fatalf("negotiated %v, want %v", got, tc.want)
+			if got := c.(CodecCarrier).WireCodec(); got != tc.pref {
+				t.Fatalf("session codec %v, want %v", got, tc.pref)
 			}
 			pingCall(t, c)
 		})
 	}
 }
 
-// TestLegacyServerFallback dials a hand-rolled pre-codec server — a bare
-// gob request/response loop with no hello handling. The client's hello
-// must come back as an ordinary error Response, after which the session
-// silently proceeds on gob.
-func TestLegacyServerFallback(t *testing.T) {
+// TestNonAckHelloFailsDial dials a peer that answers the hello with
+// something other than an ack — a server of some other protocol. The
+// dial must fail with ErrBadFrame, and the client must hang up.
+func TestNonAckHelloFailsDial(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	svc, _ := pingService(0)
+	peerSaw := make(chan error, 1)
 	go func() {
 		conn, err := lis.Accept()
 		if err != nil {
+			peerSaw <- err
 			return
 		}
 		defer conn.Close()
-		for {
-			payload, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			var resp Response
-			var env Envelope
-			if err := Decode(payload, &env); err != nil {
-				resp.Err = err.Error()
-			} else if v, herr := svc.Dispatch(env.Method, env.Args); herr != nil {
-				resp.Err = herr.Error()
-			} else {
-				resp.Value = v
-			}
-			out, err := Encode(&resp)
-			if err != nil {
-				return
-			}
-			if writeFrame(conn, out) != nil {
-				return
-			}
+		if _, err := readFrame(conn); err != nil {
+			peerSaw <- err
+			return
 		}
+		if err := writeFrame(conn, []byte("not a hello ack")); err != nil {
+			peerSaw <- err
+			return
+		}
+		_, err = readFrame(conn) // returns once the client closes
+		peerSaw <- err
 	}()
 	c, err := DialCodec(lis.Addr().String(), wire.Default)
+	if err == nil {
+		c.Close()
+		t.Fatal("dial succeeded against a peer that never acked the hello")
+	}
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("dial error %v, want ErrBadFrame", err)
+	}
+	select {
+	case err := <-peerSaw:
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("peer read %v after the failed dial, want EOF from a closed connection", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("client never closed the connection")
+	}
+}
+
+// TestNoHelloServedOnDefault: a connection that opens with a request
+// instead of a hello is served on wire.Default.
+func TestNoHelloServedOnDefault(t *testing.T) {
+	srv := startPingServer(t)
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if got := c.(CodecCarrier).WireCodec(); got != wire.Gob {
-		t.Fatalf("negotiated %v against a legacy server, want gob", got)
+	defer conn.Close()
+	// 1.1 is not exact in f32 or f16, so only an f64 session echoes the
+	// lossless doubled value.
+	req, err := EncodeRequestFrame(wire.Default, "ping", &pingMsg{N: 21, Vals: []float64{1.1, 0, -3}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	pingCall(t, c)
-	pingCall(t, c) // the session must stay healthy past the first call
+	if err := writeFrame(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeResponseFrame(wire.Default, &pingMsg{N: 42, Vals: []float64{2.2, 0, -6}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("reply frame % x, want the wire.Default frame % x", got, want)
+	}
 }
 
 // TestChannelCodecCarrier pins the in-process transport's codec plumbing:
 // clients report the codec they were built with and wire messages round
 // trip through the frame encoder (fresh structs, no aliasing).
 func TestChannelCodecCarrier(t *testing.T) {
-	for _, codec := range []wire.Codec{wire.Gob, wire.Default, {Wire: true, Enc: wire.F16}} {
+	for _, codec := range []wire.Codec{wire.Default, {Enc: wire.F16}} {
 		l, err := NewLocalCodec(2, pingService, codec)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"columnsgd/internal/wire"
 )
 
 // FuzzReadFrame hardens the TCP framing against arbitrary bytes: the
@@ -20,11 +22,11 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 5, 'a', 'b'}) // truncated payload
-	// Chaos-shaped seeds: a real envelope frame truncated mid-payload and
+	// Chaos-shaped seeds: a real request frame truncated mid-payload and
 	// with a corrupted length prefix.
-	env, _ := EncodeEnvelope("echo", &echoArgs{Text: "fuzz", N: 7})
+	req, _ := EncodeRequestFrame(wire.Default, "echo", &echoArgs{Text: "fuzz", N: 7})
 	var framed bytes.Buffer
-	_ = writeFrame(&framed, env)
+	_ = writeFrame(&framed, req)
 	whole := framed.Bytes()
 	f.Add(whole)
 	f.Add(whole[:len(whole)/2])
@@ -46,59 +48,6 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if !bytes.HasPrefix(data, out.Bytes()) {
 			t.Fatalf("decoded frame does not round trip")
-		}
-	})
-}
-
-// FuzzDecodeEnvelope feeds the request decoder the bytes a chaos
-// transport can produce — truncated, bit-flipped, or arbitrary frames.
-// The decoder must never panic, and every failure must wrap ErrDecode.
-func FuzzDecodeEnvelope(f *testing.F) {
-	valid, err := EncodeEnvelope("echo", &echoArgs{Text: "corpus", N: 42})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte("not gob at all"))
-	f.Add(valid[:len(valid)/2]) // chaos truncation
-	for _, pos := range []int{0, 1, len(valid) / 2, len(valid) - 1} {
-		mangled := append([]byte(nil), valid...)
-		mangled[pos] ^= 0xA5 // chaos corruption
-		f.Add(mangled)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var env Envelope
-		if err := Decode(data, &env); err != nil {
-			if !errors.Is(err, ErrDecode) {
-				t.Fatalf("untyped decode error %v for % x", err, data)
-			}
-			return
-		}
-		// A frame that decodes must re-encode; its method is plain data.
-		if _, err := EncodeEnvelope(env.Method, env.Args); err != nil {
-			t.Fatalf("decoded envelope does not re-encode: %v", err)
-		}
-	})
-}
-
-// FuzzDecodeResponse does the same for the master-side reply decoder —
-// the path a corrupted worker response travels.
-func FuzzDecodeResponse(f *testing.F) {
-	valid, err := Encode(&Response{Value: &echoReply{Text: "corpus", Sum: 9}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte{0x03})
-	f.Add(valid[:3])
-	mangled := append([]byte(nil), valid...)
-	mangled[len(mangled)/3] ^= 0xFF
-	f.Add(mangled)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var resp Response
-		if err := Decode(data, &resp); err != nil && !errors.Is(err, ErrDecode) {
-			t.Fatalf("untyped decode error %v for % x", err, data)
 		}
 	})
 }

@@ -225,7 +225,7 @@ func (c *nodeClient) Call(method string, args, reply interface{}) error {
 
 	ep.mu.Lock()
 	svc := ep.svc
-	reqMethod, reqArgs, derr := decodeRequestFrame(c.codec, reqBuf.b)
+	reqMethod, reqArgs, derr := decodeRequestFrame(reqBuf.b)
 	putFrameBuf(reqBuf)
 	if derr != nil {
 		ep.mu.Unlock()
@@ -250,7 +250,7 @@ func (c *nodeClient) Call(method string, args, reply interface{}) error {
 		putFrameBuf(respBuf)
 		return fmt.Errorf("%w: worker %d (reply lost)", ErrWorkerDown, ep.slot)
 	}
-	backValue, backErr, stored, derr := decodeResponseFrameInto(c.codec, respBuf.b, reply)
+	backValue, backErr, stored, derr := decodeResponseFrameInto(respBuf.b, reply)
 	putFrameBuf(respBuf)
 	if derr != nil {
 		return derr

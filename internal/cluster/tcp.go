@@ -18,51 +18,41 @@ import (
 // far below this; the bound rejects corrupt length prefixes).
 const maxFrame = 1 << 30
 
-// Codec negotiation. A codec-aware client opens every connection with a
-// 7-byte hello frame; a codec-aware server answers with an ack choosing
-// the session codec. A legacy server instead gob-decodes the hello,
-// fails, and returns an ordinary error Response — the framing survives,
-// the client sees a non-ack first frame and falls back to gob. A legacy
-// client sends no hello and is served gob frames as before. Hello
-// traffic is session setup, not statistics exchange, so it is excluded
-// from the byte counters.
+// frameChunk is the largest payload readFrame allocates before any of
+// its bytes arrive. Every per-round frame fits in one chunk; a larger
+// claimed length is read in growing steps, so a corrupt or hostile length
+// prefix costs memory only for the bytes the peer really sends.
+const frameChunk = 1 << 20
+
+// Session hello. A client opens every connection with a 7-byte hello
+// frame naming the codec version and the value encoding it will send; the
+// server answers with an ack echoing the session codec. A connection
+// that sends no hello is served on wire.Default. Hello traffic is session
+// setup, not statistics exchange, so it is excluded from the byte
+// counters.
 const (
 	helloRequestTag = 1
 	helloAckTag     = 2
+	helloVersion    = 1 // the compact frames of codec.go
 )
 
 var helloMagic = [4]byte{'c', 'S', 'G', 'D'}
 
 func helloFrame(tag byte, c wire.Codec) []byte {
-	ver := byte(0)
-	if c.Wire {
-		ver = 1
-	}
-	return []byte{helloMagic[0], helloMagic[1], helloMagic[2], helloMagic[3], tag, ver, byte(c.Enc)}
+	return []byte{helloMagic[0], helloMagic[1], helloMagic[2], helloMagic[3], tag, helloVersion, byte(c.Enc)}
 }
 
-// parseHello recognizes a hello or ack frame. The exact-length and magic
-// requirements make collision with a gob envelope practically impossible
-// (a gob stream would need a 7-byte first message spelling the magic).
+// parseHello recognizes a hello or ack frame. A request frame starts with
+// wireRequestMarker, never with the magic, so the two cannot collide.
 func parseHello(frame []byte, tag byte) (wire.Codec, bool) {
-	if len(frame) != 7 || !bytes.Equal(frame[:4], helloMagic[:]) || frame[4] != tag {
+	if len(frame) != 7 || !bytes.Equal(frame[:4], helloMagic[:]) || frame[4] != tag || frame[5] != helloVersion {
 		return wire.Codec{}, false
 	}
-	c := wire.Codec{Wire: frame[5] == 1, Enc: wire.Encoding(frame[6])}
+	c := wire.Codec{Enc: wire.Encoding(frame[6])}
 	if !c.Enc.Valid() {
 		c.Enc = wire.F64
 	}
 	return c, true
-}
-
-// negotiate picks the session codec from a client's request and the
-// server's limit: the compact format only if both sides support it, at
-// the client's requested value encoding.
-func negotiate(req, limit wire.Codec) wire.Codec {
-	if req.Wire && limit.Wire {
-		return wire.Codec{Wire: true, Enc: req.Enc}
-	}
-	return wire.Gob
 }
 
 // writeFrame writes a length-prefixed payload.
@@ -89,12 +79,25 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("%w: frame length %d exceeds limit", ErrBadFrame, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
+	size := int(n)
+	payload := make([]byte, 0, min(size, frameChunk))
+	for len(payload) < size {
+		if len(payload) == cap(payload) {
+			grown := make([]byte, len(payload), min(2*cap(payload), size))
+			copy(grown, payload)
+			payload = grown
 		}
-		return nil, err
+		got, err := io.ReadFull(r, payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			if err == io.EOF && len(payload) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			if errors.Is(err, io.ErrUnexpectedEOF) {
+				return nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
+			}
+			return nil, err
+		}
 	}
 	return payload, nil
 }
@@ -114,26 +117,12 @@ type Server struct {
 	draining bool
 	idle     chan struct{}
 	idleOnce sync.Once
-
-	// codecLimit caps what the server will negotiate; Default accepts
-	// the compact codec, Gob forces every session onto gob.
-	codecLimit wire.Codec
 }
 
-// NewServer wraps a service and a listener. The server accepts the
-// compact codec by default; clients that never send a hello are served
-// gob.
+// NewServer wraps a service and a listener.
 func NewServer(svc *Service, lis net.Listener) *Server {
-	return &Server{
-		svc: svc, lis: lis, conns: make(map[net.Conn]struct{}), idle: make(chan struct{}),
-		codecLimit: wire.Default,
-	}
+	return &Server{svc: svc, lis: lis, conns: make(map[net.Conn]struct{}), idle: make(chan struct{})}
 }
-
-// RestrictCodec caps the codec this server will negotiate — wire.Gob
-// makes it behave like a pre-codec server (every hello is answered with
-// a gob ack), which is also how the tests exercise the fallback path.
-func (s *Server) RestrictCodec(limit wire.Codec) { s.codecLimit = limit }
 
 // Addr returns the listen address.
 func (s *Server) Addr() string { return s.lis.Addr().String() }
@@ -164,21 +153,21 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	codec := wire.Gob // sessions start gob until a hello upgrades them
+	codec := wire.Default
 	for {
 		reqBytes, err := readFrame(conn)
 		if err != nil {
 			return // connection closed or broken; master will redial
 		}
 		if req, ok := parseHello(reqBytes, helloRequestTag); ok {
-			codec = negotiate(req, s.codecLimit)
+			codec = req
 			if writeFrame(conn, helloFrame(helloAckTag, codec)) != nil {
 				return
 			}
 			continue
 		}
 		s.beginRequest()
-		method, args, derr := decodeRequestFrame(codec, reqBytes)
+		method, args, derr := decodeRequestFrame(reqBytes)
 		var value interface{}
 		errStr := ""
 		if derr != nil {
@@ -273,37 +262,33 @@ type tcpClient struct {
 	msgs  atomic.Int64
 }
 
-// Dial connects to a worker server, negotiating the default codec.
+// Dial connects to a worker server on the default codec.
 func Dial(addr string) (Client, error) { return DialCodec(addr, wire.Default) }
 
-// DialCodec connects to a worker server, requesting pref. A gob
-// preference skips the hello entirely (legacy behaviour); otherwise the
-// session runs whatever the server acks — gob when the far side is a
-// pre-codec server, which answers the hello with an ordinary gob error
-// Response instead of an ack.
+// DialCodec connects to a worker server and opens the session with a
+// hello requesting pref's value encoding. A peer that answers with
+// anything but an ack does not speak this protocol: the dial fails with
+// ErrBadFrame and the connection is closed.
 func DialCodec(addr string, pref wire.Codec) (Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	c := &tcpClient{conn: conn}
-	if pref.Wire {
-		if err := writeFrame(conn, helloFrame(helloRequestTag, pref)); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("cluster: hello %s: %w", addr, err)
-		}
-		first, err := readFrame(conn)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("cluster: hello %s: %w", addr, err)
-		}
-		if ack, ok := parseHello(first, helloAckTag); ok {
-			c.codec = ack
-		}
-		// A non-ack first frame is a legacy server's error Response to
-		// the hello it could not decode: discard it and stay on gob.
+	if err := writeFrame(conn, helloFrame(helloRequestTag, pref)); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("cluster: hello %s: %w", addr, err)
 	}
-	return c, nil
+	first, err := readFrame(conn)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("cluster: hello %s: %w", addr, err)
+	}
+	ack, ok := parseHello(first, helloAckTag)
+	if !ok {
+		conn.Close()
+		return nil, fmt.Errorf("cluster: hello %s: %w: reply is not a hello ack", addr, ErrBadFrame)
+	}
+	return &tcpClient{conn: conn, codec: ack}, nil
 }
 
 // WireCodec implements CodecCarrier.
@@ -340,7 +325,7 @@ func (c *tcpClient) Call(method string, args, reply interface{}) error {
 	}
 	c.bytes.Add(int64(reqLen + len(respBytes)))
 	c.msgs.Add(2)
-	value, errStr, stored, derr := decodeResponseFrameInto(c.codec, respBytes, reply)
+	value, errStr, stored, derr := decodeResponseFrameInto(respBytes, reply)
 	if derr != nil {
 		return derr
 	}

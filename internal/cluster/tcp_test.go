@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -131,17 +133,23 @@ func TestDialUnreachable(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("hello frames")
-	if err := writeFrame(&buf, payload); err != nil {
-		t.Fatal(err)
+	// The large payload spans several growth steps past frameChunk.
+	large := make([]byte, 3*frameChunk+5)
+	for i := range large {
+		large[i] = byte(i * 7)
 	}
-	got, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(payload) {
-		t.Fatalf("got %q", got)
+	for _, payload := range [][]byte{[]byte("hello frames"), large} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte frame did not round trip", len(payload))
+		}
 	}
 }
 
@@ -150,6 +158,24 @@ func TestFrameRejectsHugeLength(t *testing.T) {
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("huge frame accepted")
+	}
+}
+
+// TestReadFrameAllocatesOnlyWhatArrives: a header claiming maxFrame
+// followed by 10 bytes and EOF is a truncated frame, and reading it must
+// not allocate the gigabyte the header claimed.
+func TestReadFrameAllocatesOnlyWhatArrives(t *testing.T) {
+	data := binary.BigEndian.AppendUint32(nil, maxFrame)
+	data = append(data, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("err = %v, want an ErrBadFrame truncation", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Fatalf("reading 14 bytes allocated %d bytes", grew)
 	}
 }
 

@@ -36,7 +36,7 @@ type ElasticProvider interface {
 	NodePool() membership.NodePool
 }
 
-// LocalProvider runs the workers in-process over the gob channel
+// LocalProvider runs the workers in-process over the serializing channel
 // transport.
 type LocalProvider struct {
 	local *cluster.Local
@@ -76,8 +76,7 @@ type RemoteProvider struct {
 	clients []cluster.Client
 }
 
-// NewRemoteProvider dials one worker per address, negotiating the
-// default codec (old workers fall back to gob per connection).
+// NewRemoteProvider dials one worker per address on the default codec.
 func NewRemoteProvider(addrs []string) (*RemoteProvider, error) {
 	return NewRemoteProviderCodec(addrs, wire.Default)
 }

@@ -6,7 +6,6 @@ package costmodel_test
 // can produce — dense, sparse, empty, and single-element.
 
 import (
-	"math"
 	"testing"
 
 	"columnsgd/internal/cluster"
@@ -40,7 +39,7 @@ func statsCases() map[string][]float64 {
 func TestStatsFrameBytesMatchesEncoder(t *testing.T) {
 	for name, stats := range statsCases() {
 		for _, enc := range []wire.Encoding{wire.F64, wire.F32, wire.F16} {
-			codec := wire.Codec{Wire: true, Enc: enc}
+			codec := wire.Codec{Enc: enc}
 			reply := &core.StatsReply{Stats: stats, NNZ: int64(len(stats)) * 3}
 			frame, err := cluster.EncodeResponseFrame(codec, reply, "")
 			if err != nil {
@@ -71,30 +70,5 @@ func TestDenseStatsFrameBytesIsUpperBound(t *testing.T) {
 		if name == "dense" && int64(len(frame)) != bound {
 			t.Errorf("dense: bound %d not exact (frame %d)", bound, len(frame))
 		}
-	}
-}
-
-// TestWireFramesBeatGobFloor asserts the headline claim the codec exists
-// for: for a sparse statistics batch the encoded response is at least 30%
-// smaller than the gob frame carrying the same reply.
-func TestWireFramesBeatGobFloor(t *testing.T) {
-	// Partial sums are full-mantissa floats in practice; dyadic test
-	// values would let gob's trailing-zero compression flatter it.
-	stats := make([]float64, 1024)
-	for i := 0; i < len(stats); i += 8 {
-		stats[i] = math.Sqrt(float64(i + 2))
-	}
-	reply := &core.StatsReply{Stats: stats, NNZ: 4096}
-	gobFrame, err := cluster.EncodeResponseFrame(wire.Gob, reply, "")
-	if err != nil {
-		t.Fatalf("gob encode: %v", err)
-	}
-	wireFrame, err := cluster.EncodeResponseFrame(wire.Default, reply, "")
-	if err != nil {
-		t.Fatalf("wire encode: %v", err)
-	}
-	if ratio := float64(len(wireFrame)) / float64(len(gobFrame)); ratio > 0.7 {
-		t.Errorf("wire frame %d bytes vs gob %d: ratio %.2f, want <= 0.70",
-			len(wireFrame), len(gobFrame), ratio)
 	}
 }

@@ -92,7 +92,7 @@ type Config struct {
 	// Runs with the same seed are bit-identical (schedule replay).
 	StalenessSeed int64
 	// Codec names the statistics wire codec for NewLocalEngine's
-	// in-process transport: "gob", "wire", "wire-f32", "wire-f16".
+	// in-process transport: "wire", "wire-f32", "wire-f16".
 	// Empty means the default (compact, lossless).
 	Codec string
 	// Precision selects the workers' numeric width: "" or "f64" runs the

@@ -101,7 +101,7 @@ type Options struct {
 	// Results are bit-identical for every value (internal/par contract).
 	Parallelism int
 	// Codec selects the statistics codec whose encoded sizes the fan-out
-	// byte accounting models ("gob", "wire", "wire-f32", "wire-f16");
+	// byte accounting models ("wire", "wire-f32", "wire-f16");
 	// empty means the default compact lossless codec. Lossy codecs only
 	// shrink the modeled statistics bytes; the scoring width is set by
 	// Precision, not the codec.
@@ -797,11 +797,10 @@ func (s *Server) callReplicas(ctx context.Context, g *shardGroup, last *atomic.I
 }
 
 // shardRequestBytes models one shard call's request payload under the
-// configured codec. For the compact wire codec it is the exact encoded
-// size of each row's sparse pair (delta-varint indices + values at the
-// codec's width) plus a fixed header; for gob it keeps the legacy
-// 12-bytes-per-nonzero estimate (4-byte index + 8-byte value). The byte
-// model reads only the row index structure, which both precisions share.
+// configured codec: the exact encoded size of each row's sparse pair
+// (delta-varint indices + values at the codec's width) plus a fixed
+// header. The byte model reads only the row index structure, which both
+// precisions share.
 func (s *Server) shardRequestBytes(req ShardRequest) int64 {
 	n := int64(16)
 	rowIdx := func(i int) []int32 {
@@ -814,12 +813,6 @@ func (s *Server) shardRequestBytes(req ShardRequest) int64 {
 	if req.Params32 != nil {
 		rows = len(req.Batch32.Rows)
 	}
-	if !s.codec.Wire {
-		for i := 0; i < rows; i++ {
-			n += int64(len(rowIdx(i))) * 12
-		}
-		return n
-	}
 	for i := 0; i < rows; i++ {
 		n += int64(wire.SparseSize(rowIdx(i), s.codec.Enc))
 	}
@@ -827,11 +820,8 @@ func (s *Server) shardRequestBytes(req ShardRequest) int64 {
 }
 
 // shardReplyBytes models one shard reply's statistics payload: the exact
-// encoded vector size under the wire codec, 8 bytes per value under gob.
+// encoded vector size under the configured codec.
 func (s *Server) shardReplyBytes(stats []float64) int64 {
-	if !s.codec.Wire {
-		return int64(len(stats)) * 8
-	}
 	return int64(wire.VecSize(stats, s.codec.Enc))
 }
 

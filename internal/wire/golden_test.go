@@ -58,8 +58,8 @@ func responseCase(name string, codec wire.Codec, value interface{}) goldenCase {
 
 func goldenCases() []goldenCase {
 	wireF64 := wire.Default
-	wireF32 := wire.Codec{Wire: true, Enc: wire.F32}
-	wireF16 := wire.Codec{Wire: true, Enc: wire.F16}
+	wireF32 := wire.Codec{Enc: wire.F32}
+	wireF16 := wire.Codec{Enc: wire.F16}
 	return []goldenCase{
 		requestCase("stats-args", wireF64, "computeStats",
 			&core.StatsArgs{Iter: -3, BatchSize: 256, Epoch: true, EpochSeed: 7}),

@@ -78,59 +78,47 @@ func (e Encoding) String() string {
 	return fmt.Sprintf("wire.Encoding(%d)", uint8(e))
 }
 
-// Codec pairs a codec version with a value encoding — the unit of
-// negotiation between transports. The zero value is the legacy gob
-// codec, so uninitialized configuration never silently changes formats.
+// Codec is the value encoding a transport session sends its compact
+// (version 1) frames with — the unit of negotiation between transports.
+// The zero value is lossless Default.
 type Codec struct {
-	// Wire selects the compact format (codec version 1). False means
-	// version 0: encoding/gob envelopes, the pre-codec format.
-	Wire bool
-	// Enc is the value encoding used when Wire is set. Decoding is
-	// always self-describing; Enc only shapes what this side sends.
+	// Enc is the value encoding this side sends. Decoding is always
+	// self-describing; Enc only shapes what this side sends.
 	Enc Encoding
 }
 
-// Gob is the legacy codec (version 0).
-var Gob = Codec{}
-
-// Default is the codec new transports negotiate when the caller does not
-// choose: compact format, lossless values.
-var Default = Codec{Wire: true, Enc: F64}
+// Default is the codec transports use when the caller does not choose:
+// lossless values.
+var Default = Codec{Enc: F64}
 
 // Lossless reports whether round-tripping float64 values through c is
 // bit-exact. Golden-determinism guarantees hold only for lossless codecs.
-func (c Codec) Lossless() bool { return !c.Wire || c.Enc == F64 }
+func (c Codec) Lossless() bool { return c.Enc == F64 }
 
 func (c Codec) String() string {
-	switch {
-	case !c.Wire:
-		return "gob"
-	case c.Enc == F64:
+	switch c.Enc {
+	case F64:
 		return "wire"
-	case c.Enc == F32:
+	case F32:
 		return "wire-f32"
-	case c.Enc == F16:
+	case F16:
 		return "wire-f16"
 	}
-	return fmt.Sprintf("wire.Codec{%v,%v}", c.Wire, c.Enc)
+	return fmt.Sprintf("wire.Codec{%v}", c.Enc)
 }
 
 // ParseCodec maps a configuration string onto a Codec. The empty string
 // selects Default, so flags and config fields can omit it.
 func ParseCodec(s string) (Codec, error) {
 	switch s {
-	case "":
+	case "", "wire":
 		return Default, nil
-	case "gob":
-		return Gob, nil
-	case "wire":
-		return Codec{Wire: true, Enc: F64}, nil
 	case "wire-f32":
-		return Codec{Wire: true, Enc: F32}, nil
+		return Codec{Enc: F32}, nil
 	case "wire-f16":
-		return Codec{Wire: true, Enc: F16}, nil
+		return Codec{Enc: F16}, nil
 	}
-	return Codec{}, fmt.Errorf("wire: unknown codec %q (want gob, wire, wire-f32, or wire-f16)", s)
+	return Codec{}, fmt.Errorf("wire: unknown codec %q (want wire, wire-f32, or wire-f16)", s)
 }
 
 // AppendUvarint appends v in unsigned varint form.

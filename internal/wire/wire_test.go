@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -13,10 +14,9 @@ func TestParseCodec(t *testing.T) {
 		want Codec
 	}{
 		{"", Default},
-		{"gob", Gob},
-		{"wire", Codec{Wire: true, Enc: F64}},
-		{"wire-f32", Codec{Wire: true, Enc: F32}},
-		{"wire-f16", Codec{Wire: true, Enc: F16}},
+		{"wire", Codec{Enc: F64}},
+		{"wire-f32", Codec{Enc: F32}},
+		{"wire-f16", Codec{Enc: F16}},
 	}
 	for _, c := range cases {
 		got, err := ParseCodec(c.in)
@@ -27,13 +27,16 @@ func TestParseCodec(t *testing.T) {
 			t.Errorf("Codec %v String() = %q, want %q", got, got.String(), c.in)
 		}
 	}
-	if _, err := ParseCodec("protobuf"); err == nil {
-		t.Error("ParseCodec accepted an unknown codec name")
+	// "protobuf" was never a codec; "gob" was version 0 and is gone.
+	for _, name := range []string{"protobuf", "gob"} {
+		if _, err := ParseCodec(name); err == nil || !strings.Contains(err.Error(), "unknown codec") {
+			t.Errorf("ParseCodec(%q) = %v, want the unknown-codec error", name, err)
+		}
 	}
-	if !Gob.Lossless() || !Default.Lossless() {
-		t.Error("gob and wire-f64 must be lossless")
+	if (Codec{}) != Default || !Default.Lossless() {
+		t.Error("the zero Codec must be lossless Default")
 	}
-	if (Codec{Wire: true, Enc: F16}).Lossless() {
+	if (Codec{Enc: F16}).Lossless() {
 		t.Error("wire-f16 must not claim losslessness")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"columnsgd/internal/cluster"
 	"columnsgd/internal/core"
-	"columnsgd/internal/wire"
 )
 
 // WorkerServer is a ColumnSGD worker listening for a master over TCP.
@@ -19,27 +18,11 @@ type WorkerServer struct {
 // port) and serves in a background goroutine until Close. The returned
 // server's Addr is what the master passes in Config.WorkerAddrs.
 func ServeWorker(addr string) (*WorkerServer, error) {
-	return ServeWorkerCodec(addr, "")
-}
-
-// ServeWorkerCodec is ServeWorker with an explicit cap on the statistics
-// codec the worker will negotiate ("gob", "wire", "wire-f32", "wire-f16";
-// empty means the default). A master asking for more than the cap is
-// negotiated down — e.g. a "gob" worker forces every connection onto the
-// legacy codec.
-func ServeWorkerCodec(addr, codec string) (*WorkerServer, error) {
-	limit, err := wire.ParseCodec(codec)
-	if err != nil {
-		return nil, fmt.Errorf("columnsgd: %w", err)
-	}
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("columnsgd: listen %s: %w", addr, err)
 	}
 	srv := cluster.NewServer(core.NewWorkerService(), lis)
-	if codec != "" {
-		srv.RestrictCodec(limit)
-	}
 	go srv.Serve() //nolint:errcheck // Serve exits cleanly on Close
 	return &WorkerServer{srv: srv}, nil
 }
@@ -57,25 +40,11 @@ func (w *WorkerServer) Close() error { return w.srv.Close() }
 func (w *WorkerServer) Shutdown(timeout time.Duration) error { return w.srv.Shutdown(timeout) }
 
 // ServeWorkerBlocking runs a worker in the calling goroutine until the
-// listener fails or is closed — the loop cmd/colsgd-node runs.
+// listener fails or is closed.
 func ServeWorkerBlocking(addr string) error {
-	return ServeWorkerBlockingCodec(addr, "")
-}
-
-// ServeWorkerBlockingCodec is ServeWorkerBlocking with an explicit cap on
-// the statistics codec (see ServeWorkerCodec).
-func ServeWorkerBlockingCodec(addr, codec string) error {
-	limit, err := wire.ParseCodec(codec)
-	if err != nil {
-		return fmt.Errorf("columnsgd: %w", err)
-	}
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("columnsgd: listen %s: %w", addr, err)
 	}
-	srv := cluster.NewServer(core.NewWorkerService(), lis)
-	if codec != "" {
-		srv.RestrictCodec(limit)
-	}
-	return srv.Serve()
+	return cluster.NewServer(core.NewWorkerService(), lis).Serve()
 }

@@ -55,7 +55,7 @@ type ServeConfig struct {
 	// beyond it the queue fills and admission rejects.
 	MaxConcurrent int
 	// Codec selects the statistics codec the fan-out byte accounting
-	// models ("gob", "wire", "wire-f32", "wire-f16"); empty means the
+	// models ("wire", "wire-f32", "wire-f16"); empty means the
 	// default compact lossless codec.
 	Codec string
 	// Precision selects the scoring width: "" or "f64" scores shards in
