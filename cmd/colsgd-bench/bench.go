@@ -671,6 +671,21 @@ func bestLoadOf(replicas int, hedge time.Duration) (*loadResult, error) {
 // bytes the two rebalances shipped — deterministic for a fixed
 // workload, so benchdiff can gate both.
 func benchRebalance(k int) (testing.BenchmarkResult, int64, error) {
+	var migBytes int64
+	var benchErr error
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if migBytes, benchErr = rebalanceJob(k); benchErr != nil {
+				b.FailNow()
+			}
+		}
+	})
+	return res, migBytes, benchErr
+}
+
+// rebalanceJob runs benchRebalance's job once and returns the migration
+// bytes its two rebalances shipped.
+func rebalanceJob(k int) (int64, error) {
 	w := diff.Workload{
 		N: 2048, Features: 2048, NNZPerRow: 32,
 		Model: "lr", Batch: 512, Workers: k, Seed: 5,
@@ -678,24 +693,15 @@ func benchRebalance(k int) (testing.BenchmarkResult, int64, error) {
 		Iters:      8,
 		Membership: fmt.Sprintf("leave@2:%d,join@4:%d", k-1, k),
 	}
-	var migBytes int64
-	var benchErr error
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r, err := diff.RunColumnSGD(w, nil)
-			if err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-			if r.Rebalances != 2 || r.MigrationBytes <= 0 || r.Rounds != w.Iters {
-				benchErr = fmt.Errorf("rebalance P%d: rebalances=%d migration=%d rounds=%d",
-					k, r.Rebalances, r.MigrationBytes, r.Rounds)
-				b.FailNow()
-			}
-			migBytes = r.MigrationBytes
-		}
-	})
-	return res, migBytes, benchErr
+	r, err := diff.RunColumnSGD(w, nil)
+	if err != nil {
+		return 0, err
+	}
+	if r.Rebalances != 2 || r.MigrationBytes <= 0 || r.Rounds != w.Iters {
+		return 0, fmt.Errorf("rebalance P%d: rebalances=%d migration=%d rounds=%d",
+			k, r.Rebalances, r.MigrationBytes, r.Rounds)
+	}
+	return r.MigrationBytes, nil
 }
 
 // benchSolver measures a whole training job under one master-side
@@ -704,6 +710,21 @@ func benchRebalance(k int) (testing.BenchmarkResult, int64, error) {
 // the fewer-fatter-rounds trade the solver layer exists for, in one
 // deterministic number benchdiff can gate.
 func benchSolver(solver string, localSteps, memory int) (testing.BenchmarkResult, int64, error) {
+	var statsBytes int64
+	var benchErr error
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if statsBytes, benchErr = solverJob(solver, localSteps, memory); benchErr != nil {
+				b.FailNow()
+			}
+		}
+	})
+	return res, statsBytes, benchErr
+}
+
+// solverJob runs benchSolver's job once and returns the statistics
+// bytes it spent to reach the target loss.
+func solverJob(solver string, localSteps, memory int) (int64, error) {
 	// Target 0.30 is deep enough that per-round SGD pays ~33 rounds while
 	// the fatter-round solvers arrive in a handful; batch 120 keeps the
 	// classic round fat enough that full-batch L-BFGS margins (keyed to N,
@@ -716,64 +737,46 @@ func benchSolver(solver string, localSteps, memory int) (testing.BenchmarkResult
 		Model: "lr", Seed: 5, Batch: 120,
 		Solver: solver, LocalSteps: localSteps, LBFGSMemory: memory,
 	}.Defaults()
-	var statsBytes int64
-	var benchErr error
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			prov, err := core.NewLocalProvider(w.Workers)
-			if err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-			e, err := core.NewEngine(core.Config{
-				Workers:     w.Workers,
-				ModelName:   w.Model,
-				Opt:         w.Opt,
-				BatchSize:   w.Batch,
-				BlockSize:   16,
-				Seed:        w.Seed,
-				EvalEvery:   1,
-				Solver:      w.Solver,
-				LocalSteps:  w.LocalSteps,
-				LBFGSMemory: w.LBFGSMemory,
-			}, prov)
-			if err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-			ds, err := w.Dataset()
-			if err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-			if err := e.Load(ds); err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-			if _, err := e.Run(solverMaxIters); err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-			var bytes int64
-			reached := false
-			for _, it := range e.Trace().Iterations {
-				for _, ph := range it.Phases {
-					bytes += ph.Bytes
-				}
-				if it.Loss == it.Loss && it.Loss <= solverTargetLoss {
-					reached = true
-					break
-				}
-			}
-			if !reached {
-				benchErr = fmt.Errorf("solver %s: loss never reached %.2f in %d rounds",
-					solver, solverTargetLoss, solverMaxIters)
-				b.FailNow()
-			}
-			statsBytes = bytes
+	prov, err := core.NewLocalProvider(w.Workers)
+	if err != nil {
+		return 0, err
+	}
+	e, err := core.NewEngine(core.Config{
+		Workers:     w.Workers,
+		ModelName:   w.Model,
+		Opt:         w.Opt,
+		BatchSize:   w.Batch,
+		BlockSize:   16,
+		Seed:        w.Seed,
+		EvalEvery:   1,
+		Solver:      w.Solver,
+		LocalSteps:  w.LocalSteps,
+		LBFGSMemory: w.LBFGSMemory,
+	}, prov)
+	if err != nil {
+		return 0, err
+	}
+	ds, err := w.Dataset()
+	if err != nil {
+		return 0, err
+	}
+	if err := e.Load(ds); err != nil {
+		return 0, err
+	}
+	if _, err := e.Run(solverMaxIters); err != nil {
+		return 0, err
+	}
+	var bytes int64
+	for _, it := range e.Trace().Iterations {
+		for _, ph := range it.Phases {
+			bytes += ph.Bytes
 		}
-	})
-	return res, statsBytes, benchErr
+		if it.Loss == it.Loss && it.Loss <= solverTargetLoss {
+			return bytes, nil
+		}
+	}
+	return 0, fmt.Errorf("solver %s: loss never reached %.2f in %d rounds",
+		solver, solverTargetLoss, solverMaxIters)
 }
 
 // bestOf runs fn benchRounds times and keeps the fastest round.

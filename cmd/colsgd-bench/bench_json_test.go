@@ -119,20 +119,21 @@ func TestBenchDiffFailsOnMigrationBytesRegression(t *testing.T) {
 
 // TestBenchRebalanceRow pins the row itself: one join, deterministic
 // nonzero migration traffic, no dropped rounds — without waiting for the
-// full -benchjson suite.
+// full -benchjson suite. It runs the row's job once per check, outside
+// the timing loop, since only the integers are asserted.
 func TestBenchRebalanceRow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	for _, k := range []int{2, 4} {
-		res, migBytes, err := benchRebalance(k)
+		migBytes, err := rebalanceJob(k)
 		if err != nil {
 			t.Fatalf("P%d: %v", k, err)
 		}
-		if res.N <= 0 || migBytes <= 0 {
-			t.Fatalf("P%d: N=%d migration=%d", k, res.N, migBytes)
+		if migBytes <= 0 {
+			t.Fatalf("P%d: migration=%d", k, migBytes)
 		}
-		_, again, err := benchRebalance(k)
+		again, err := rebalanceJob(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,21 +223,22 @@ func TestBenchDiffFailsOnStatsBytesRegression(t *testing.T) {
 // TestBenchSolverRows pins the solver rows themselves: each reaches the
 // target loss with deterministic nonzero statistics traffic, and the
 // fatter-round solvers spend fewer bytes to target than per-round SGD —
-// without waiting for the full -benchjson suite.
+// without waiting for the full -benchjson suite, and running each job
+// once per check, outside the timing loop.
 func TestBenchSolverRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	bytesFor := func(solver string, steps, mem int) int64 {
 		t.Helper()
-		res, sb, err := benchSolver(solver, steps, mem)
+		sb, err := solverJob(solver, steps, mem)
 		if err != nil {
 			t.Fatalf("%s: %v", solver, err)
 		}
-		if res.N <= 0 || sb <= 0 {
-			t.Fatalf("%s: N=%d stats=%d", solver, res.N, sb)
+		if sb <= 0 {
+			t.Fatalf("%s: stats=%d", solver, sb)
 		}
-		_, again, err := benchSolver(solver, steps, mem)
+		again, err := solverJob(solver, steps, mem)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package columnsgd_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	columnsgd "columnsgd"
@@ -224,5 +225,68 @@ func TestCustomModelBackupAndTCP(t *testing.T) {
 		LearningRate: 0.05, Iterations: 30, Seed: 13,
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// spillModel is the Poisson model plus a 1e-3·w shrinkage in every
+// column of its gradient, so it writes outside the batch's columns —
+// which a custom model may do, and the built-ins never do.
+type spillModel struct{ poissonModel }
+
+func (s spillModel) Gradient(params [][]float64, rows []columnsgd.SparseVector, labels []float64, stats []float64, grad [][]float64) {
+	s.poissonModel.Gradient(params, rows, labels, stats, grad)
+	for j, w := range params[0] {
+		grad[0][j] += 1e-3 * w
+	}
+}
+
+func init() {
+	if err := columnsgd.RegisterModel("poisson-spill", spillModel{}); err != nil {
+		panic(err)
+	}
+}
+
+// TestCustomModelOffSupportGolden: on a shape sparse enough that the
+// built-in models update only the batch's columns (2 workers × 1 000
+// columns, at most ~110 non-zeros a partition batch), a custom model
+// that writes every column keeps the dense path and trains to the same
+// bits as before the support-only update existed; a built-in model
+// trained next, in the same process and so on the same scratch pools,
+// matches its own golden. Both hashes were recorded before that change.
+func TestCustomModelOffSupportGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("goldens are amd64 bits; the Go spec lets GOARCH=%s fuse multiply-adds", runtime.GOARCH)
+	}
+	ds := poissonData(t, 600, 2000, 17)
+	run := func(mdl string, data *columnsgd.Dataset) uint64 {
+		res, err := columnsgd.Train(data, columnsgd.Config{
+			Model: columnsgd.ModelKind(mdl), Workers: 2, BatchSize: 64,
+			LearningRate: 0.05, Iterations: 40, Seed: 19,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weightsHash(res.Weights())
+	}
+	if got, want := run("poisson-spill", ds), uint64(0x3033d72ed8a5f42c); got != want {
+		t.Errorf("custom model off-support golden: hash %#x, want %#x", got, want)
+	}
+	// Two non-zeros a row, one in each half of the columns, ±1 labels.
+	r := rand.New(rand.NewSource(23))
+	examples := make([]columnsgd.Example, 600)
+	for i := range examples {
+		idx := []int32{int32(r.Intn(1000)), int32(1000 + r.Intn(1000))}
+		label := 1.0
+		if r.Intn(2) == 0 {
+			label = -1
+		}
+		examples[i] = columnsgd.Example{Label: label, Features: columnsgd.SparseVector{Indices: idx, Values: []float64{1, -0.5}}}
+	}
+	lr, err := columnsgd.FromExamples(examples, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := run("lr", lr), uint64(0x458f58d8ee0665d0); got != want {
+		t.Errorf("built-in model after a custom one: hash %#x, want %#x", got, want)
 	}
 }

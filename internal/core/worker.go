@@ -333,13 +333,7 @@ func (w *Worker) update(a *UpdateArgs) (*UpdateReply, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ps.grad == nil || ps.grad.Rows() != w.mdl.ParamRows() || ps.grad.Width() != ps.width {
-			ps.grad = model.NewParams(w.mdl.ParamRows(), ps.width)
-		}
-		// Chunked gradient with ordered reduction: bit-identical for
-		// every pool size (see model.ParallelGradient).
-		model.ParallelGradient(w.pool, w.mdl, ps.params, batch, a.Stats, ps.grad)
-		if err := ps.opt.Apply(ps.params, ps.grad); err != nil {
+		if err := w.step(ps, batch, a.Stats); err != nil {
 			return nil, err
 		}
 		nnz += batch.NNZ()
@@ -348,6 +342,32 @@ func (w *Worker) update(a *UpdateArgs) (*UpdateReply, error) {
 		}
 	}
 	return &UpdateReply{Loss: loss, NNZ: nnz}, nil
+}
+
+// step runs one gradient → apply of partition ps over batch and leaves
+// ps.grad all-zero, the state every step finds it in; it is the only
+// writer of ps.grad. The gradient is the chunked, ordered reduction
+// (bit-identical for every pool size, see model.ParallelGradient). On a
+// sparse batch of a built-in model it lands only at the batch's columns,
+// and the apply visits and drains just those (opt.ApplySupport), so the
+// step is O(batch·nnz) whatever the width. Otherwise the apply is dense
+// and the clear is full-width.
+func (w *Worker) step(ps *partState, batch model.Batch, stats []float64) error {
+	if ps.grad == nil || ps.grad.Rows() != w.mdl.ParamRows() || ps.grad.Width() != ps.width {
+		ps.grad = model.NewParams(w.mdl.ParamRows(), ps.width)
+	}
+	model.AccumulateGradient(w.pool, w.mdl, ps.params, batch, stats, ps.grad)
+	var err error
+	if model.SparseGradient(w.mdl, batch, ps.width) {
+		err = opt.ApplySupport(ps.opt, ps.params, ps.grad, batch.Rows)
+	} else {
+		err = ps.opt.Apply(ps.params, ps.grad)
+		ps.grad.Zero()
+	}
+	if err != nil {
+		ps.grad.Zero()
+	}
+	return err
 }
 
 func (w *Worker) evalStats(a *EvalArgs) (*EvalReply, error) {

@@ -142,11 +142,7 @@ func (w *Worker) solverUpdate(a *SolverUpdateArgs) (*SolverUpdateReply, error) {
 				// classic round reports.
 				loss = model.BatchLoss(w.mdl, batches[pi].Labels, a.Stats)
 			}
-			if ps.grad == nil || ps.grad.Rows() != w.mdl.ParamRows() || ps.grad.Width() != ps.width {
-				ps.grad = model.NewParams(w.mdl.ParamRows(), ps.width)
-			}
-			model.ParallelGradient(w.pool, w.mdl, ps.params, batches[pi], est, ps.grad)
-			if err := ps.opt.Apply(ps.params, ps.grad); err != nil {
+			if err := w.step(ps, batches[pi], est); err != nil {
 				return nil, err
 			}
 			nnz += batches[pi].NNZ()

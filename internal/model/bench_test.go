@@ -28,6 +28,7 @@ func benchModel(b *testing.B, mdl Model) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		stats = mdl.PartialStats(p, bt, stats[:0])
+		grad.Zero()
 		mdl.Gradient(p, bt, stats, grad)
 	}
 }

@@ -89,7 +89,6 @@ func (m FM) PointLoss(label float64, stats []float64) float64 {
 
 // Gradient implements Model.
 func (m FM) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
-	grad.Zero()
 	spp := m.StatsPerPoint()
 	inv := 1 / float64(batch.Len())
 	for i := range batch.Rows {

@@ -36,7 +36,6 @@ func (LR) PointLoss(label float64, stats []float64) float64 {
 
 // Gradient implements Model: g = (1/B)·Σ_i −y_i/(1+exp(y_i·s_i))·x_i.
 func (LR) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
-	grad.Zero()
 	g := grad.W[0]
 	inv := 1 / float64(batch.Len())
 	for i := range batch.Rows {
@@ -89,7 +88,6 @@ func (SVM) PointLoss(label float64, stats []float64) float64 {
 
 // Gradient implements Model: subgradient −y·x for margin violations.
 func (SVM) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
-	grad.Zero()
 	g := grad.W[0]
 	inv := 1 / float64(batch.Len())
 	for i := range batch.Rows {
@@ -143,7 +141,6 @@ func (LeastSquares) PointLoss(label float64, stats []float64) float64 {
 
 // Gradient implements Model: (⟨w,x⟩−y)·x averaged over the batch.
 func (LeastSquares) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
-	grad.Zero()
 	g := grad.W[0]
 	inv := 1 / float64(batch.Len())
 	for i := range batch.Rows {

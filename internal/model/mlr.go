@@ -78,7 +78,6 @@ func (m MLR) PointLoss(label float64, stats []float64) float64 {
 
 // Gradient implements Model: per class k, (softmax_k − 1{y=k})·x.
 func (m MLR) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
-	grad.Zero()
 	inv := 1 / float64(batch.Len())
 	probs := make([]float64, m.classes)
 	for i := range batch.Rows {

@@ -171,6 +171,9 @@ type Model interface {
 	PointLoss(label float64, stats []float64) float64
 	// Gradient computes the local gradient block (same shape as p) for
 	// the batch given aggregated statistics, averaged over the batch.
+	// grad arrives zeroed, and the built-in models only accumulate into
+	// it (they never clear), writing only the columns the batch's rows
+	// index; ParallelGradient relies on both to merge chunks sparsely.
 	Gradient(p *Params, batch Batch, stats []float64, grad *Params)
 	// Predict maps one point's aggregated statistics to a predicted
 	// label (±1 for binary models, class index for MLR).

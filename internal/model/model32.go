@@ -114,8 +114,7 @@ type Kernel32 interface {
 	// grad must arrive zeroed: implementations only accumulate (they
 	// never clear), so ParallelGradient32's pooled chunk scratch can
 	// stay clean across steps instead of paying a full-width memclr per
-	// chunk. This is where the f32 contract deliberately diverges from
-	// Model.Gradient, which zeroes grad itself.
+	// chunk — the same contract as Model.Gradient.
 	Gradient32(p *Params32, batch Batch32, stats []float32, grad *Params32)
 }
 

@@ -69,7 +69,8 @@ func putGradScratch32(g *Params32) { gradScratch32.Put(g) }
 // are fixed, so the result is bit-identical for every pool size,
 // including nil and shut-down pools.
 //
-// Unlike the f64 reduction, the merge is sparse-aware: a chunk's
+// The merge is always sparse-aware (the f64 path gates it on density,
+// see AccumulateGradient): a chunk's
 // gradient only touches the column indices of that chunk's rows, so the
 // combine walks those indices instead of the full partition width —
 // O(batch·nnz) instead of O(chunks·width), which is the difference
@@ -79,8 +80,7 @@ func putGradScratch32(g *Params32) { gradScratch32.Put(g) }
 // the per-chunk full-width memclr goes away too (Gradient32 accumulates
 // into zeroed scratch by contract). Every slot still receives its chunk
 // contributions in ascending chunk order, so the result is bit-for-bit
-// the dense reduction's, and the f64 path — whose bits are pinned by
-// golden fixtures — is untouched.
+// the dense reduction's.
 func ParallelGradient32(pool *par.Pool, m Model, p *Params32, batch Batch32, stats []float32, grad *Params32) {
 	k := kernel32For(m)
 	n := batch.Len()

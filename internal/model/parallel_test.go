@@ -170,3 +170,139 @@ func bitEqual(a, b *Params) bool {
 	}
 	return true
 }
+
+// denseReference is the historical f64 chunk merge, written out in
+// full: every chunk's kernel into a fresh zeroed block, folded over the
+// whole width in ascending chunk order. Both sides of the
+// SparseGradient gate must reproduce it bit for bit.
+func denseReference(mdl Model, p *Params, batch Batch, stats []float64) *Params {
+	n := batch.Len()
+	grain := batchGrain(n)
+	spp := mdl.StatsPerPoint()
+	out := NewParams(p.Rows(), p.Width())
+	for c := 0; c < par.NumChunks(n, grain); c++ {
+		lo, hi := par.Bounds(c, n, grain)
+		g := NewParams(p.Rows(), p.Width())
+		mdl.Gradient(p, Batch{Rows: batch.Rows[lo:hi], Labels: batch.Labels[lo:hi]}, stats[lo*spp:hi*spp], g)
+		for r := range out.W {
+			vec.Axpy(out.W[r], float64(hi-lo)/float64(n), g.W[r])
+		}
+	}
+	return out
+}
+
+// drainClean empties the clean scratch pool and fails if any block in
+// it holds a non-zero slot: the sparse merge must hand every block back
+// all-zero, or the next sparse call would add stale values.
+func drainClean(t *testing.T, what string) {
+	t.Helper()
+	for {
+		g, _ := cleanScratch.Get().(*Params)
+		if g == nil {
+			return
+		}
+		if g.NNZ() != 0 {
+			t.Fatalf("%s: clean scratch block returned with %d non-zeros", what, g.NNZ())
+		}
+	}
+}
+
+// TestGradientGateBitIdentical runs every built-in model on a shape on
+// each side of the density gate and checks ParallelGradient and
+// AccumulateGradient against the written-out dense merge, at P = 1, 2, 4.
+// Each shape runs twice per P, so the second call reuses pooled blocks.
+func TestGradientGateBitIdentical(t *testing.T) {
+	shapes := []struct {
+		name       string
+		n, m, nnz  int
+		wantSparse bool
+	}{
+		{"sparse", 100, 4096, 4, true}, // 400 nnz · 8 < 4096
+		{"dense", 100, 600, 12, false}, // 1200 nnz · 8 ≥ 600
+	}
+	for _, sh := range shapes {
+		for _, mdl := range testModels(t) {
+			classes := 0
+			if mlr, ok := mdl.(MLR); ok {
+				classes = mlr.Classes()
+			}
+			batch := synthBatch(sh.n, sh.m, sh.nnz, classes, 17)
+			if got := SparseGradient(mdl, batch, sh.m); got != sh.wantSparse {
+				t.Fatalf("%s %s: SparseGradient = %v, want %v", sh.name, mdl.Name(), got, sh.wantSparse)
+			}
+			p := NewParams(mdl.ParamRows(), sh.m)
+			mdl.Init(p, rand.New(rand.NewSource(19)))
+			stats := mdl.PartialStats(p, batch, nil)
+			want := denseReference(mdl, p, batch, stats)
+			for _, procs := range []int{1, 2, 4} {
+				pool := par.New(procs)
+				for rep := 0; rep < 2; rep++ {
+					got := NewParams(mdl.ParamRows(), sh.m)
+					AccumulateGradient(pool, mdl, p, batch, stats, got)
+					if !bitEqual(want, got) {
+						t.Fatalf("%s %s P=%d rep %d: AccumulateGradient differs from the dense merge", sh.name, mdl.Name(), procs, rep)
+					}
+					dirty := NewParams(mdl.ParamRows(), sh.m)
+					for r := range dirty.W {
+						for j := range dirty.W[r] {
+							dirty.W[r][j] = 3
+						}
+					}
+					ParallelGradient(pool, mdl, p, batch, stats, dirty)
+					if !bitEqual(want, dirty) {
+						t.Fatalf("%s %s P=%d rep %d: ParallelGradient over a dirty block differs from the dense merge", sh.name, mdl.Name(), procs, rep)
+					}
+					drainClean(t, sh.name+" "+mdl.Name())
+				}
+				pool.Shutdown()
+			}
+		}
+	}
+}
+
+// spill is a model without the built-in marker whose gradient writes
+// every column, as a custom model may: it must stay on the dense merge,
+// and its dirty blocks must never reach the clean pool.
+type spill struct{ Model }
+
+func (s spill) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
+	grad.Zero()
+	s.Model.Gradient(p, batch, stats, grad)
+	for r := range grad.W {
+		for j := range grad.W[r] {
+			grad.W[r][j] += 0.5
+		}
+	}
+}
+
+func TestGradientUnmarkedModelStaysDense(t *testing.T) {
+	const n, m = 100, 4096
+	mdl := spill{LR{}}
+	batch := synthBatch(n, m, 4, 0, 23)
+	if SparseGradient(mdl, batch, m) {
+		t.Fatal("an unmarked model took the support-only path")
+	}
+	if !SparseGradient(LR{}, batch, m) {
+		t.Fatal("shape is not sparse for the built-in model; the test proves nothing")
+	}
+	p := NewParams(1, m)
+	stats := mdl.PartialStats(p, batch, nil)
+	want := denseReference(mdl, p, batch, stats)
+	pool := par.New(2)
+	defer pool.Shutdown()
+	for rep := 0; rep < 2; rep++ {
+		got := NewParams(1, m)
+		AccumulateGradient(pool, mdl, p, batch, stats, got)
+		if !bitEqual(want, got) {
+			t.Fatalf("rep %d: unmarked model's gradient differs from the dense merge", rep)
+		}
+		drainClean(t, "spill")
+		// A built-in call right after must still see clean blocks.
+		ref := denseReference(LR{}, p, batch, stats)
+		lr := NewParams(1, m)
+		AccumulateGradient(pool, LR{}, p, batch, stats, lr)
+		if !bitEqual(ref, lr) {
+			t.Fatalf("rep %d: built-in gradient after an unmarked model differs", rep)
+		}
+	}
+}

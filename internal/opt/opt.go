@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"columnsgd/internal/model"
+	"columnsgd/internal/vec"
 )
 
 // Config selects and parameterizes an optimizer.
@@ -117,6 +118,67 @@ func regularize(cfg Config, w, g float64) float64 {
 	return g
 }
 
+// supportRule is implemented by the update rules that, unregularised,
+// leave a finite weight and their own state bit-for-bit unchanged
+// wherever g is +0: w − η·(+0) is w, and AdaGrad's h + 0·0 is h.
+type supportRule interface {
+	// supportReady checks shapes, readies the rule's state for p, and
+	// reports whether the configuration qualifies: it does not when it
+	// moves weights where g is zero.
+	supportReady(p, g *model.Params) (bool, error)
+	// stepAt updates slot j of parameter row r.
+	stepAt(p, g *model.Params, r, j int)
+}
+
+// sparseConfig reports whether cfg leaves a weight alone where its
+// gradient is +0: no regulariser, and a finite learning rate (∞·0 is NaN).
+func sparseConfig(cfg Config) bool {
+	return cfg.L1 == 0 && cfg.L2 == 0 && cfg.LR < math.Inf(1)
+}
+
+// ApplySupport is o.Apply for a gradient that is zero outside the
+// columns rows index (the batch support), and it leaves g all-zero.
+// Unregularised sgd and adagrad update only the support, in
+// O(nnz·rows) instead of O(width·rows); elsewhere their update would
+// leave every finite weight bit-for-bit as it is, so the result equals
+// Apply's. A column indexed twice is stepped twice, but the second
+// step meets the drained +0 and changes nothing. Every other rule —
+// momentum, adam, any L1/L2 — moves weights where g is zero, so it runs
+// the dense Apply and then clears g at the support.
+//
+// The two paths differ only on non-finite weights: Apply turns a +Inf
+// weight off the support into NaN (0·Inf in regularize), ApplySupport
+// never visits it.
+func ApplySupport(o Optimizer, p, g *model.Params, rows []vec.Sparse) error {
+	s, support := o.(supportRule)
+	if support {
+		var err error
+		if support, err = s.supportReady(p, g); err != nil {
+			return err
+		}
+	}
+	if !support {
+		if err := o.Apply(p, g); err != nil {
+			return err
+		}
+	}
+	width := g.Width()
+	for _, x := range rows {
+		for _, j := range x.Indices {
+			if int(j) >= width {
+				continue
+			}
+			for r := range g.W {
+				if support {
+					s.stepAt(p, g, r, int(j))
+				}
+				g.W[r][j] = 0
+			}
+		}
+	}
+	return nil
+}
+
 // cloneBlocks copies optimizer state blocks for Snapshot.
 func cloneBlocks(blocks ...*model.Params) []*model.Params {
 	out := make([]*model.Params, len(blocks))
@@ -153,6 +215,16 @@ func (s *sgd) Apply(p, g *model.Params) error {
 		}
 	}
 	return nil
+}
+func (s *sgd) supportReady(p, g *model.Params) (bool, error) {
+	if err := checkShapes(p, g); err != nil {
+		return false, err
+	}
+	return sparseConfig(s.cfg), nil
+}
+func (s *sgd) stepAt(p, g *model.Params, r, j int) {
+	pw := p.W[r]
+	pw[j] -= s.cfg.LR * regularize(s.cfg, pw[j], g.W[r][j])
 }
 
 type momentum struct {
@@ -222,7 +294,7 @@ func (a *adagrad) Restore(blocks []*model.Params, steps int) error {
 	a.h = blocks[0].Clone()
 	return nil
 }
-func (a *adagrad) Apply(p, g *model.Params) error {
+func (a *adagrad) ready(p, g *model.Params) error {
 	if err := checkShapes(p, g); err != nil {
 		return err
 	}
@@ -230,6 +302,25 @@ func (a *adagrad) Apply(p, g *model.Params) error {
 		a.h = model.NewParams(p.Rows(), p.Width())
 	} else if err := checkShapes(p, a.h); err != nil {
 		return fmt.Errorf("opt: adagrad state stale: %w", err)
+	}
+	return nil
+}
+func (a *adagrad) supportReady(p, g *model.Params) (bool, error) {
+	if err := a.ready(p, g); err != nil {
+		return false, err
+	}
+	// ε > 0 keeps η·(+0)/(√h+ε) at +0 where h is still 0.
+	return sparseConfig(a.cfg) && a.cfg.Eps > 0, nil
+}
+func (a *adagrad) stepAt(p, g *model.Params, r, j int) {
+	pw, hw := p.W[r], a.h.W[r]
+	grad := regularize(a.cfg, pw[j], g.W[r][j])
+	hw[j] += grad * grad
+	pw[j] -= a.cfg.LR * grad / (math.Sqrt(hw[j]) + a.cfg.Eps)
+}
+func (a *adagrad) Apply(p, g *model.Params) error {
+	if err := a.ready(p, g); err != nil {
+		return err
 	}
 	for r := range p.W {
 		pw, gw, hw := p.W[r], g.W[r], a.h.W[r]
