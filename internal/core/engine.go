@@ -507,17 +507,7 @@ func (e *Engine) loadFrom(next func() (*dataset.Block, error), features int) err
 		return err
 	}
 
-	// Block-based dispatching: every workset goes to all replicas of its
-	// partition.
-	_, stats, err := partition.DispatchStream(next, scheme, func(part int, ws *partition.Workset) error {
-		for _, w := range e.partOwners[part] {
-			// Loads are not idempotent, so they never retry (Retry false).
-			if err := e.drv.Call(w, driver.Call{Method: MethodLoad, Args: &LoadArgs{Partition: part, Workset: ws}}, nil, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	stats, err := e.dispatchLoads(next, scheme)
 	if err != nil {
 		return err
 	}

@@ -11,8 +11,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"columnsgd/internal/vec"
 )
@@ -72,55 +70,29 @@ func (d *Dataset) Slice(lo, hi int) *Dataset {
 // accepting the indices as written). numFeatures <= 0 means infer from
 // the data (max index + 1).
 func ParseLibSVM(r io.Reader, numFeatures int) (*Dataset, error) {
+	return parseLibSVM(r, numFeatures, 0)
+}
+
+// parseLibSVM is ParseLibSVM on a pool of procs parse workers (0:
+// GOMAXPROCS).
+func parseLibSVM(r io.Reader, numFeatures, procs int) (*Dataset, error) {
+	br, err := NewBlockReader(r, parseBlockRows, 0)
+	if err != nil {
+		return nil, err
+	}
+	br.physical, br.procs = true, procs
 	ds := &Dataset{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
-	maxIdx := int32(-1)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		label, err := strconv.ParseFloat(fields[0], 64)
+	for {
+		blk, err := br.Next()
 		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad label %q: %w", lineNo, fields[0], err)
+			return nil, err
 		}
-		idx := make([]int32, 0, len(fields)-1)
-		val := make([]float64, 0, len(fields)-1)
-		for _, f := range fields[1:] {
-			colon := strings.IndexByte(f, ':')
-			if colon < 0 {
-				return nil, fmt.Errorf("dataset: line %d: malformed feature %q", lineNo, f)
-			}
-			i, err := strconv.Atoi(f[:colon])
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d: bad index %q: %w", lineNo, f[:colon], err)
-			}
-			v, err := strconv.ParseFloat(f[colon+1:], 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d: bad value %q: %w", lineNo, f[colon+1:], err)
-			}
-			if v == 0 {
-				continue
-			}
-			idx = append(idx, int32(i))
-			val = append(val, v)
+		if blk == nil {
+			break
 		}
-		sp, err := vec.NewSparse(idx, val)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", lineNo, err)
-		}
-		if mi := sp.MaxIndex(); mi > maxIdx {
-			maxIdx = mi
-		}
-		ds.Points = append(ds.Points, Point{Label: label, Features: sp})
+		ds.Points = append(ds.Points, blk.Points...)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: scan: %w", err)
-	}
+	maxIdx := br.MaxIndex()
 	if numFeatures > 0 {
 		if int(maxIdx) >= numFeatures {
 			return nil, fmt.Errorf("dataset: feature index %d exceeds declared dimension %d", maxIdx, numFeatures)
@@ -131,6 +103,10 @@ func ParseLibSVM(r io.Reader, numFeatures int) (*Dataset, error) {
 	}
 	return ds, nil
 }
+
+// parseBlockRows is how many rows ParseLibSVM hands the parse pool
+// at a time.
+const parseBlockRows = 4096
 
 // WriteLibSVM writes the dataset in LibSVM text format.
 func WriteLibSVM(w io.Writer, ds *Dataset) error {

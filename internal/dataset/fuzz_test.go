@@ -25,6 +25,7 @@ func FuzzParseLibSVM(f *testing.F) {
 		"1 0=1\n",                     // malformed pair
 		"1 -1:3\n",                    // negative index
 		"1 999999999999999999999:1\n", // overflow index
+		"1 4294967297:2.5\n",          // index past int32
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -75,6 +76,7 @@ func FuzzBlockReader(f *testing.F) {
 	f.Add("+1 0:1\n-1 1:1\n+1 2:1\n", 2)
 	f.Add("", 1)
 	f.Add("bogus line\n", 3)
+	f.Add("1 4294967297:2.5\n", 2)
 	f.Fuzz(func(t *testing.T, in string, blockSize int) {
 		if blockSize <= 0 || blockSize > 1024 {
 			return

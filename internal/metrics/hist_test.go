@@ -46,6 +46,20 @@ func TestHistogramEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileOnBucketBoundary: when the target rank is exactly
+// the count through a bucket, the quantile is that bucket's upper bound,
+// not the lower bound of the next non-empty bucket.
+func TestHistogramQuantileOnBucketBoundary(t *testing.T) {
+	h := NewHistogram([]float64{10, 20, 30})
+	for _, v := range []float64{5, 10, 25, 28} {
+		h.Observe(v)
+	}
+	// target = 0.5·4 = 2 = the count of bucket (-inf, 10]; (10, 20] is empty.
+	if got := h.Quantile(0.5); got != 10 {
+		t.Fatalf("q0.5 = %v, want 10", got)
+	}
+}
+
 func TestHistogramOverflowBucket(t *testing.T) {
 	h := NewHistogram([]float64{1, 2})
 	h.Observe(100)

@@ -127,10 +127,9 @@ type DispatchStats struct {
 
 // Dispatch runs block-based column dispatching (Algorithm 4) over an
 // in-memory row-oriented dataset: the master conceptually queues blocks of
-// blockSize rows; each block is split into K CSR worksets which are
-// delivered to the per-worker stores. deliver is invoked once per
-// (block, destination worker) — the transport hook used by the cluster
-// layer; pass nil to only build the stores.
+// blockSize rows; each block is split into K CSR worksets. deliver is
+// invoked once per (block, destination worker) — the transport hook used
+// by the cluster layer; pass nil to build the per-worker stores instead.
 func Dispatch(ds *dataset.Dataset, s Scheme, blockSize int, deliver func(dst int, w *Workset) error) ([]*Store, DispatchStats, error) {
 	if blockSize <= 0 {
 		return nil, DispatchStats{}, fmt.Errorf("partition: blockSize must be positive, got %d", blockSize)
@@ -152,14 +151,18 @@ func Dispatch(ds *dataset.Dataset, s Scheme, blockSize int, deliver func(dst int
 }
 
 // DispatchStream dispatches blocks from a streaming source (e.g. a
-// dataset.BlockReader over a LibSVM file on disk): the master never holds
-// more than one block in memory — the block-queue design of Algorithm 4.
-// next returns (nil, nil) at end of input.
+// dataset.BlockReader over a LibSVM file on disk). With a deliver hook the
+// master holds no more than the block in hand — the block-queue design of
+// Algorithm 4 — and the returned stores are nil; with deliver nil the K
+// per-worker stores are built and returned. Every workset is validated
+// either way. next returns (nil, nil) at end of input.
 func DispatchStream(next func() (*dataset.Block, error), s Scheme, deliver func(dst int, w *Workset) error) ([]*Store, DispatchStats, error) {
-	k := s.NumWorkers()
-	stores := make([]*Store, k)
-	for i := range stores {
-		stores[i] = NewStore()
+	var stores []*Store
+	if deliver == nil {
+		stores = make([]*Store, s.NumWorkers())
+		for i := range stores {
+			stores[i] = NewStore()
+		}
 	}
 	var stats DispatchStats
 	for {
@@ -182,33 +185,58 @@ func DispatchStream(next func() (*dataset.Block, error), s Scheme, deliver func(
 		for dst, w := range worksets {
 			stats.Messages++
 			stats.Bytes += w.SizeBytes()
-			if deliver != nil {
-				if err := deliver(dst, w); err != nil {
-					return nil, stats, fmt.Errorf("partition: deliver block %d to worker %d: %w", blk.ID, dst, err)
+			if deliver == nil {
+				if err := stores[dst].Put(w); err != nil {
+					return nil, stats, err
 				}
+				continue
 			}
-			if err := stores[dst].Put(w); err != nil {
+			if err := w.Validate(); err != nil {
 				return nil, stats, err
+			}
+			if err := deliver(dst, w); err != nil {
+				return nil, stats, fmt.Errorf("partition: deliver block %d to worker %d: %w", blk.ID, dst, err)
 			}
 		}
 	}
 }
 
-// SplitBlock builds the K worksets of one block under a scheme.
+// SplitBlock builds the K worksets of one block under a scheme. It
+// writes each row's column slices straight into the K CSRs, sized
+// exactly by a counting pass; the result is what appending SplitRow's
+// parts row by row would build.
 func SplitBlock(blk *dataset.Block, s Scheme) ([]*Workset, error) {
 	k := s.NumWorkers()
-	labels := make([]float64, len(blk.Points))
-	csrs := make([]*vec.CSR, k)
-	for w := 0; w < k; w++ {
-		csrs[w] = vec.NewCSR(int32(s.PartSize(w)), len(blk.Points))
-	}
+	nnz := make([]int, k)
 	for i := range blk.Points {
+		for _, j := range blk.Points[i].Features.Indices {
+			nnz[s.Owner(j)]++
+		}
+	}
+	csrs := make([]*vec.CSR, k)
+	for w := range csrs {
+		csrs[w] = vec.NewCSR(int32(s.PartSize(w)), len(blk.Points))
+		if nnz[w] > 0 {
+			csrs[w].Indices = make([]int32, 0, nnz[w])
+			csrs[w].Values = make([]float64, 0, nnz[w])
+		}
+	}
+	labels := make([]float64, len(blk.Points))
+	for i := range blk.Points {
+		x := blk.Points[i].Features
 		labels[i] = blk.Points[i].Label
-		parts := SplitRow(blk.Points[i].Features, s)
-		for w := 0; w < k; w++ {
-			if err := csrs[w].AppendRow(parts[w]); err != nil {
-				return nil, fmt.Errorf("partition: block %d row %d worker %d: %w", blk.ID, i, w, err)
+		for n, j := range x.Indices {
+			c := csrs[s.Owner(j)]
+			c.Indices = append(c.Indices, s.Local(j))
+			c.Values = append(c.Values, x.Values[n])
+		}
+		for w, c := range csrs {
+			lo, hi := c.IndPtr[len(c.IndPtr)-1], int64(len(c.Indices))
+			if hi > lo && c.Indices[hi-1] >= c.Cols {
+				return nil, fmt.Errorf("partition: block %d row %d worker %d: vec: row index %d exceeds CSR column bound %d",
+					blk.ID, i, w, c.Indices[hi-1], c.Cols)
 			}
+			c.IndPtr = append(c.IndPtr, hi)
 		}
 	}
 	out := make([]*Workset, k)

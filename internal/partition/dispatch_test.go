@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -167,6 +170,39 @@ func TestDispatchDeliverHookAndErrors(t *testing.T) {
 	}
 }
 
+// TestDispatchStreamDeliverKeepsNoStores: with a deliver hook the master
+// keeps no copy of the dataset (the stores come back nil), yet every
+// workset is still validated before it is handed over.
+func TestDispatchStreamDeliverKeepsNoStores(t *testing.T) {
+	ds := genData(t, 10, 8, 4)
+	s, _ := NewRange(8, 2)
+	delivered := 0
+	stores, stats, err := Dispatch(ds, s, 4, func(int, *Workset) error { delivered++; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stores != nil {
+		t.Fatalf("deliver given, yet %d stores were built", len(stores))
+	}
+	if delivered != 6 || stats.Messages != 6 || stats.Rows != 10 { // 3 blocks × 2 workers
+		t.Fatalf("delivered %d, stats %+v", delivered, stats)
+	}
+	if stores, _, err := Dispatch(ds, s, 4, nil); err != nil || len(stores) != 2 || stores[0].Rows() != 10 {
+		t.Fatalf("without deliver: %v stores, %v", stores, err)
+	}
+
+	bad := &dataset.Dataset{NumFeatures: 8, Points: []dataset.Point{
+		{Label: 1, Features: vec.Sparse{Indices: []int32{1, 6}, Values: []float64{1, math.NaN()}}},
+	}}
+	delivered = 0
+	if _, _, err := Dispatch(bad, s, 4, func(int, *Workset) error { delivered++; return nil }); err == nil {
+		t.Fatal("non-finite workset accepted")
+	}
+	if delivered != 1 { // worker 0's half is finite; worker 1's is not
+		t.Fatalf("delivered %d worksets, want 1", delivered)
+	}
+}
+
 type boomErr struct{}
 
 func (boomErr) Error() string { return "boom" }
@@ -293,5 +329,82 @@ func TestDispatchBytesShape(t *testing.T) {
 	}
 	if math.IsNaN(float64(blockStats.Bytes)) {
 		t.Fatal("NaN bytes")
+	}
+}
+
+// splitBlockOracle is SplitBlock as it was: SplitRow per row, then
+// AppendRow into growing CSRs.
+func splitBlockOracle(blk *dataset.Block, s Scheme) ([]*Workset, error) {
+	k := s.NumWorkers()
+	labels := make([]float64, len(blk.Points))
+	csrs := make([]*vec.CSR, k)
+	for w := 0; w < k; w++ {
+		csrs[w] = vec.NewCSR(int32(s.PartSize(w)), len(blk.Points))
+	}
+	for i := range blk.Points {
+		labels[i] = blk.Points[i].Label
+		parts := SplitRow(blk.Points[i].Features, s)
+		for w := 0; w < k; w++ {
+			if err := csrs[w].AppendRow(parts[w]); err != nil {
+				return nil, fmt.Errorf("partition: block %d row %d worker %d: %w", blk.ID, i, w, err)
+			}
+		}
+	}
+	out := make([]*Workset, k)
+	for w := 0; w < k; w++ {
+		out[w] = &Workset{BlockID: blk.ID, Labels: labels, Data: csrs[w]}
+	}
+	return out, nil
+}
+
+// TestSplitBlockMatchesOracle: the single-pass split builds the same
+// worksets (nil-ness of empty slices included) and the same error as
+// splitting row by row, under every scheme.
+func TestSplitBlockMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	rejected := 0
+	for trial := 0; trial < 60; trial++ {
+		m, k := 5+r.Intn(60), 1+r.Intn(4)
+		ds := genData(t, 1+r.Intn(40), m, int64(trial))
+		if trial%3 == 0 { // a row past the scheme's dimension
+			ds.Points[r.Intn(ds.N())].Features = vec.Sparse{Indices: []int32{0, int32(m + r.Intn(9))}, Values: []float64{1, 2}}
+		}
+		if trial%4 == 1 { // rows with no features
+			ds.Points[0].Features = vec.Sparse{}
+		}
+		schemes := []func(int, int) (Scheme, error){
+			func(m, k int) (Scheme, error) { return NewRange(m, k) },
+			func(m, k int) (Scheme, error) { return NewRoundRobin(m, k) },
+			func(m, k int) (Scheme, error) { return NewHash(m, k) },
+		}
+		for si, mk := range schemes {
+			if si == 2 && trial%3 == 0 {
+				continue // HashScheme.Local indexes a table of m entries
+			}
+			s, err := mk(m, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blk := &dataset.Block{ID: trial, Points: ds.Points}
+			got, gotErr := SplitBlock(blk, s)
+			want, wantErr := splitBlockOracle(blk, s)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("trial %d scheme %d: error %v, oracle %v", trial, si, gotErr, wantErr)
+			}
+			if wantErr != nil {
+				rejected++
+				continue
+			}
+			for w := range want {
+				g, o := *got[w].Data, *want[w].Data
+				if !reflect.DeepEqual(got[w].Labels, want[w].Labels) || !reflect.DeepEqual(g.IndPtr, o.IndPtr) ||
+					!reflect.DeepEqual(g.Indices, o.Indices) || !reflect.DeepEqual(g.Values, o.Values) || g.Cols != o.Cols {
+					t.Fatalf("trial %d scheme %d worker %d: workset differs from the oracle", trial, si, w)
+				}
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no trial hit the column-bound error")
 	}
 }

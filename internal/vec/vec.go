@@ -33,6 +33,14 @@ func NewSparse(indices []int32, values []float64) (Sparse, error) {
 	if len(indices) != len(values) {
 		return Sparse{}, fmt.Errorf("vec: index/value length mismatch: %d vs %d", len(indices), len(values))
 	}
+	// Strictly increasing, non-negative indices have nothing to sort or
+	// merge: the result is a plain copy.
+	if sortedIndices(indices) {
+		return Sparse{
+			Indices: append(make([]int32, 0, len(indices)), indices...),
+			Values:  append(make([]float64, 0, len(values)), values...),
+		}, nil
+	}
 	type pair struct {
 		i int32
 		v float64
@@ -55,6 +63,19 @@ func NewSparse(indices []int32, values []float64) (Sparse, error) {
 		out.Values = append(out.Values, p.v)
 	}
 	return out, nil
+}
+
+// sortedIndices reports whether idx is strictly increasing and
+// non-negative.
+func sortedIndices(idx []int32) bool {
+	prev := int32(-1)
+	for _, i := range idx {
+		if i <= prev {
+			return false
+		}
+		prev = i
+	}
+	return true
 }
 
 // NNZ returns the number of stored non-zeros.

@@ -20,6 +20,41 @@ func TestNewSparseSortsAndDedups(t *testing.T) {
 	}
 }
 
+// TestNewSparseSortedInput: strictly increasing input skips the sort but
+// still comes back as a copy (2 allocations), and negative or repeated
+// indices still take the sorting path.
+func TestNewSparseSortedInput(t *testing.T) {
+	idx := []int32{0, 3, 7, 100}
+	val := []float64{1, -2, 0.5, 4}
+	s, err := NewSparse(idx, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.Indices, idx) || !reflect.DeepEqual(s.Values, val) {
+		t.Fatalf("got %v/%v", s.Indices, s.Values)
+	}
+	idx[0], val[0] = 9, 9
+	if s.Indices[0] != 0 || s.Values[0] != 1 {
+		t.Fatal("NewSparse aliased its input")
+	}
+	idx[0] = 0
+	if got := testing.AllocsPerRun(100, func() { _, _ = NewSparse(idx, val) }); got != 2 {
+		t.Fatalf("sorted input: %v allocations, want 2", got)
+	}
+	if s, err := NewSparse([]int32{1, 1, 2}, []float64{1, 2, 3}); err != nil ||
+		!reflect.DeepEqual(s.Indices, []int32{1, 2}) || !reflect.DeepEqual(s.Values, []float64{3, 3}) {
+		t.Fatalf("repeated index: %v %v", s, err)
+	}
+	if _, err := NewSparse([]int32{-1, 2}, []float64{1, 1}); err == nil {
+		t.Fatal("leading negative index accepted")
+	}
+	for _, in := range [][]int32{nil, {}} {
+		if s, err := NewSparse(in, nil); err != nil || s.Indices == nil || s.Values == nil || s.NNZ() != 0 {
+			t.Fatalf("empty input %v: %+v %v", in, s, err)
+		}
+	}
+}
+
 func TestNewSparseErrors(t *testing.T) {
 	if _, err := NewSparse([]int32{1}, []float64{1, 2}); err == nil {
 		t.Error("length mismatch not rejected")
